@@ -315,20 +315,14 @@ def bound(
             (q - 1) ** (n - i) * (_choose(n, i) - _choose(n, i - 1)) for i in range(s + 1)
         )
         params.update(s=s, q=q)
-    elif name == "hamming":
+    else:  # hamming and sphere_slice
         need(d=d, s=s, q=q)
+        if name == "sphere_slice":
+            _require(n >= 3, "n >= 3", n=n)
+            _require(q >= 3, "q >= 3", q=q)
         _require(q >= 2, "q >= 2", q=q)
         _require(0 <= d <= n, "0 <= d <= n", d=d, n=n)
         _require(s >= 0, "s >= 0", s=s)
-        _require(d + s <= n, "d + s <= n", d=d, s=s, n=n)
-        value = _choose(n, s) * sum(_choose(n - s, i) * (q - 2) ** i for i in range(d + 1))
-        params.update(d=d, s=s, q=q)
-    else:  # sphere_slice
-        need(d=d, s=s, q=q)
-        _require(n >= 3, "n >= 3", n=n)
-        _require(q >= 3, "q >= 3", q=q)
-        _require(0 <= d <= n, "0 <= d <= n", d=d, n=n)
-        _require(0 <= s <= n, "0 <= s <= n", s=s, n=n)
         _require(d + s <= n, "d + s <= n", d=d, s=s, n=n)
         value = _choose(n, s) * sum(_choose(n - s, i) * (q - 2) ** i for i in range(d + 1))
         params.update(d=d, s=s, q=q)

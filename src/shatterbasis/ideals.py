@@ -15,12 +15,15 @@ All linear algebra is exact.  Rows are kept as primitive integer vectors
 (rescaling a row never changes its span), with an integer bookkeeping
 vector expressing each row in terms of the original evaluation vectors;
 the rational generator coefficients come from one exact division at the
-end.
+end.  ``interpolate`` shares this kernel: it reduces the integer-scaled
+value vector against the same rows, and its coefficients come from the
+same single exact division.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,18 +128,17 @@ def _reduce_against(
     return vec, comb
 
 
-def vanishing_basis(
-    v: PointSet, order: TermOrder = TermOrder.DEGLEX
-) -> tuple[GroebnerBasis, StandardMonomialSet]:
-    """Reduced Groebner basis and standard monomials of I(V).
+def _eliminate(
+    v: PointSet, order: TermOrder
+) -> tuple[list[Monomial], list[tuple[int, list[int], dict[int, int]]], list[Polynomial]]:
+    """The elimination kernel for a nonempty V: the standard monomials,
+    their rows and the reduced Groebner basis generators.
 
-    Candidates are visited in increasing order, skipping multiples of the
-    leading monomials already found, so the standard monomials come out
-    as exactly the |V| order-minimal monomials with independent
-    evaluation vectors.
+    Row k is (pivot, vector, combination): the combination maps indices of
+    standard monomials to the integer weights that sum their evaluation
+    vectors to the row's vector, and the row is zero at the pivots of the
+    rows before it.
     """
-    if not len(v):
-        raise EmptyPointSetError("the vanishing ideal of the empty set is the whole ring")
     pts = v.points
     n = v.n
 
@@ -181,6 +183,22 @@ def vanishing_basis(
         raise AssertionError(
             f"engine error: found {len(standard)} standard monomials for {len(pts)} points"
         )
+    return standard, rows, generators
+
+
+def vanishing_basis(
+    v: PointSet, order: TermOrder = TermOrder.DEGLEX
+) -> tuple[GroebnerBasis, StandardMonomialSet]:
+    """Reduced Groebner basis and standard monomials of I(V).
+
+    Candidates are visited in increasing order, skipping multiples of the
+    leading monomials already found, so the standard monomials come out
+    as exactly the |V| order-minimal monomials with independent
+    evaluation vectors.
+    """
+    if not len(v):
+        raise EmptyPointSetError("the vanishing ideal of the empty set is the whole ring")
+    standard, _, generators = _eliminate(v, order)
     return (
         GroebnerBasis(order, tuple(generators)),
         StandardMonomialSet(order, tuple(standard)),
@@ -202,30 +220,14 @@ def interpolate(
         extra = sorted(keys - set(v.points))
         raise ValueError(f"values must cover V exactly (missing {missing}, extra {extra})")
 
-    _, sm = vanishing_basis(v, order)
-    mons = sm.monomials
-    matrix = [[Fraction(m.evaluate(p)) for m in mons] for p in v.points]
-    rhs = [Fraction(values[p]) for p in v.points]
-    coeffs = _solve_square(matrix, rhs)
-    return Polynomial(v.n, {m: c for m, c in zip(mons, coeffs) if c})
-
-
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Exact Gaussian elimination; pivot on the first row with a nonzero entry.
-    size = len(matrix)
-    a = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if a[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular evaluation matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][size] for r in range(size)]
+    standard, rows, _ = _eliminate(v, order)
+    target = [Fraction(values[p]) for p in v.points]
+    scale = math.lcm(*(y.denominator for y in target))
+    # The |V| rows have |V| distinct pivots, so the reduction clears the
+    # scaled values entirely: comb[-1] * scale * y + sum_k comb[k] * eval(m_k) = 0.
+    _, comb = _reduce_against([int(y * scale) for y in target], {-1: 1}, rows)
+    alpha = comb.pop(-1) * scale
+    return Polynomial(v.n, {standard[k]: Fraction(-c, alpha) for k, c in comb.items()})
 
 
 def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder) -> bool:
@@ -251,22 +253,13 @@ def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder)
             return False
 
     free = 0
-    for expo in _box(n, q):
+    for expo in itertools.product(range(q), repeat=n):
         m = Monomial(expo)
         if not any(lm.divides(m) for lm in leads):
             free += 1
             if free > len(v):
                 return False
     return free == len(v)
-
-
-def _box(n: int, q: int) -> Iterator[Point]:
-    if n == 0:
-        yield ()
-        return
-    for c in range(q):
-        for rest in _box(n - 1, q):
-            yield (c,) + rest
 
 
 def non_shatter_certificate(v: PointSet, coords: Iterable[int], witness: Sequence[int]) -> Polynomial:

@@ -206,44 +206,49 @@ def classify(v: PointSet) -> Uniformity:
     )
 
 
-def _sum_slices(n: int, d: int, q: int) -> Iterator[Point]:
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    lo = max(0, d - (q - 1) * (n - 1))
-    hi = min(q - 1, d)
-    for c in range(lo, hi + 1):
-        for rest in _sum_slices(n - 1, d - c, q):
-            yield (c,) + rest
+def _weighted_points(n: int, weights: Sequence[int], lo: int, hi: int) -> Iterator[Point]:
+    """The points of {0..q-1}^n, q = len(weights), whose coordinates'
+    weights (value c weighs weights[c]) sum into lo..hi, in lex order.
+
+    Iterative depth-first search over one shared prefix, keeping only the
+    prefixes some completion extends into the range.  The weights used here
+    are consecutive integers, so every sum between the smallest and the
+    largest completion is reachable, the pruning is exact and the cost is
+    O(n * q) per point.
+    """
+    low, high = min(weights), max(weights)
+    point = [0] * n
+    stack: list[tuple[int, int, int]] = []  # (position, value, prefix weight)
+
+    def extend(i: int, total: int) -> None:
+        rest = n - 1 - i
+        for c in reversed(range(len(weights))):
+            t = total + weights[c]
+            if lo - rest * high <= t <= hi - rest * low:
+                stack.append((i, c, t))
+
+    extend(0, 0)
+    while stack:
+        i, c, total = stack.pop()
+        point[i] = c
+        if i + 1 == n:
+            yield tuple(point)
+        else:
+            extend(i + 1, total)
 
 
 def complete_uniform(n: int, d: int, q: int) -> PointSet:
     """All points of {0..q-1}^n with coordinate sum exactly d."""
     if not 0 <= d <= (q - 1) * n:
         raise ValueError(f"coordinate sum d={d} out of range 0..{(q - 1) * n}")
-    return PointSet(n, q, _sum_slices(n, d, q))
-
-
-def _support_slices(n: int, d: int, q: int) -> Iterator[Point]:
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    if n - 1 >= d:
-        for rest in _support_slices(n - 1, d, q):
-            yield (0,) + rest
-    if d > 0:
-        for c in range(1, q):
-            for rest in _support_slices(n - 1, d - 1, q):
-                yield (c,) + rest
+    return PointSet(n, q, _weighted_points(n, range(q), d, d))
 
 
 def hamming_sphere(n: int, d: int, q: int) -> PointSet:
     """All points of {0..q-1}^n with exactly d nonzero coordinates."""
     if not 0 <= d <= n:
         raise ValueError(f"support size d={d} out of range 0..{n}")
-    return PointSet(n, q, _support_slices(n, d, q))
+    return PointSet(n, q, _weighted_points(n, [0] + [1] * (q - 1), d, d))
 
 
 def blow_up(family: SetFamily, q: int) -> PointSet:
@@ -274,17 +279,6 @@ def subfamily_through(family: SetFamily, coords: Iterable[int]) -> SetFamily:
     return SetFamily(family.n, (m for m in family if cs <= m))
 
 
-def _bounded_top(n: int, budget: int, q: int) -> Iterator[Point]:
-    if n == 0:
-        yield ()
-        return
-    for c in range(q):
-        if c == q - 1 and budget == 0:
-            continue
-        for rest in _bounded_top(n - 1, budget - (c == q - 1), q):
-            yield (c,) + rest
-
-
 def km_extremal(n: int, s: int, q: int) -> PointSet:
     """All points with at most s coordinates equal to q-1.
 
@@ -293,7 +287,7 @@ def km_extremal(n: int, s: int, q: int) -> PointSet:
     """
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range 0..{n}")
-    return PointSet(n, q, _bounded_top(n, s, q))
+    return PointSet(n, q, _weighted_points(n, [0] * (q - 1) + [1], 0, s))
 
 
 def ballot_member(v: Sequence[int], q: int) -> bool:

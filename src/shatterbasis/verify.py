@@ -16,7 +16,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .closedform import (
     bound,
@@ -26,8 +26,8 @@ from .closedform import (
     sm_hamming_sphere,
     sm_uniform_binary,
 )
-from .compress import alon_compress, is_downward_closed, trace_size
-from .ideals import certify_groebner, non_shatter_certificate, vanishing_basis
+from .compress import alon_compress
+from .ideals import StandardMonomialSet, certify_groebner, non_shatter_certificate, vanishing_basis
 from .polyring import Monomial, TermOrder, leading_monomial
 from .tuples import (
     PointSet,
@@ -88,16 +88,16 @@ def _verdict(failures: Sequence[dict]) -> str:
     return "pass" if not failures else "fail"
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: int) -> list:
+def _pmap(check: Callable[[tuple], list[dict]], items: Sequence, jobs: int) -> tuple[int, list[dict]]:
+    """Run a top-level check on every item (a plain tuple, so that worker
+    processes can receive it); return the item count and all failures."""
     items = list(items)
-    if jobs > 1 and len(items) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return [fn(item) for item in items]
-        with ctx.Pool(min(jobs, len(items))) as pool:
-            return pool.map(fn, items)
-    return [fn(item) for item in items]
+    if jobs > 1 and len(items) > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(items))) as pool:
+            results = pool.map(check, items)
+    else:
+        results = [check(item) for item in items]
+    return len(items), [f for fs in results for f in fs]
 
 
 def _int_param(params: dict, name: str, default: int | None = None, minimum: int | None = None) -> int:
@@ -126,33 +126,73 @@ def _orders_param(params: dict) -> tuple[TermOrder, ...]:
     return _BOTH_ORDERS
 
 
-def _grid(n: int, q: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.product(range(q), repeat=n))
-
-
-def _nonempty_subsets(points: Sequence, cap: int) -> Iterable[tuple]:
-    total = (1 << len(points)) - 1
-    if total > cap:
-        raise ValueError(
-            f"exhaustive enumeration of {total} subsets exceeds the cap of {cap}; "
-            "use samples= and seed= instead"
-        )
-    for r in range(1, len(points) + 1):
-        yield from itertools.combinations(points, r)
-
-
-def _sample_subsets(
-    points: Sequence, samples: int, max_size: int, seed: int
-) -> list[tuple]:
-    rng = random.Random(seed)
-    max_size = min(max_size, len(points))
-    if max_size < 1:
-        raise ValueError("max_size must allow at least one point")
-    out = []
+def _subsets(
+    points: Sequence,
+    rng: random.Random | None = None,
+    samples: int = 0,
+    max_size: int | None = None,
+) -> Iterator[tuple]:
+    """Every nonempty subset of the points, or, given an rng, `samples`
+    sorted draws, each of a uniform size in 1..max_size (default: all)."""
+    points = list(points)
+    if rng is None:
+        total = (1 << len(points)) - 1
+        if total > _EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"exhaustive enumeration of {total} subsets exceeds the cap of {_EXHAUSTIVE_CAP}; "
+                "use samples= and seed= instead"
+            )
+        for r in range(1, len(points) + 1):
+            yield from itertools.combinations(points, r)
+        return
+    top = len(points) if max_size is None else min(max_size, len(points))
     for _ in range(samples):
-        size = rng.randint(1, max_size)
-        out.append(tuple(sorted(rng.sample(list(points), size))))
-    return out
+        size = rng.randint(1, top)
+        yield tuple(sorted(rng.sample(points, size)))
+
+
+def _diff_closed_form(
+    params: dict,
+    v: PointSet,
+    closed: Callable[[TermOrder], StandardMonomialSet],
+    orders: Sequence[TermOrder] = _BOTH_ORDERS,
+) -> list[dict]:
+    """One failure per order in which the closed-form normal set differs
+    from the engine's normal set of I(v)."""
+    fails = []
+    for order in orders:
+        brute = vanishing_basis(v, order)[1].exponent_vectors()
+        got = closed(order).exponent_vectors()
+        if got != brute:
+            fails.append(
+                {
+                    "params": {**params, "order": order.value},
+                    "expected": sorted(brute),
+                    "actual": sorted(got),
+                }
+            )
+    return fails
+
+
+def _check_size(
+    v: PointSet, s_top: int, limit: Callable[[int], int], params: dict
+) -> tuple[int, list[dict]]:
+    """For every s from the largest size v shatters up to s_top, v shatters
+    nothing above s, so it may hold at most limit(s) points."""
+    checked = 0
+    fails = []
+    for s in range(max(_max_shattered(v), 0), s_top + 1):
+        checked += 1
+        allowed = limit(s)
+        if len(v) > allowed:
+            fails.append(
+                {
+                    "params": {**params, "s": s, "points": [list(p) for p in v]},
+                    "expected": f"at most {allowed} points",
+                    "actual": len(v),
+                }
+            )
+    return checked, fails
 
 
 def _max_shattered(v: PointSet) -> int:
@@ -160,6 +200,22 @@ def _max_shattered(v: PointSet) -> int:
 
 
 # ---------------------------------------------------------------- suites
+
+
+def _grid_subset_suite(check: Callable[[tuple], list[dict]], params: dict) -> tuple[int, list[dict]]:
+    """Run check on (n, q, points) for every nonempty subset of the grid
+    {0..q-1}^n, or for samples= seeded draws of 1..max_size points."""
+    n = _int_param(params, "n", minimum=1)
+    q = _int_param(params, "q", minimum=2)
+    jobs = _jobs_param(params)
+    grid = list(itertools.product(range(q), repeat=n))
+    if "samples" in params:
+        samples = _int_param(params, "samples", minimum=1)
+        max_size = _int_param(params, "max_size", default=len(grid), minimum=1)
+        subsets = _subsets(grid, random.Random(_seed_param(params)), samples, max_size)
+    else:
+        subsets = _subsets(grid)
+    return _pmap(check, [(n, q, pts) for pts in subsets], jobs)
 
 
 def _check_cardinality(item: tuple) -> list[dict]:
@@ -181,36 +237,14 @@ def _check_cardinality(item: tuple) -> list[dict]:
 
 def _suite_sm_cardinality(params: dict) -> tuple[int, list[dict]]:
     """|standard monomials| == |V| for subsets of the full grid, both orders."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
-    grid = _grid(n, q)
-    if "samples" in params:
-        samples = _int_param(params, "samples", minimum=1)
-        max_size = _int_param(params, "max_size", default=len(grid), minimum=1)
-        instances = _sample_subsets(grid, samples, max_size, _seed_param(params))
-    else:
-        instances = list(_nonempty_subsets(grid, _EXHAUSTIVE_CAP))
-    results = _pmap(_check_cardinality, [(n, q, pts) for pts in instances], jobs)
-    return len(instances), [f for fs in results for f in fs]
+    return _grid_subset_suite(_check_cardinality, params)
 
 
 def _check_uniform_binary(item: tuple) -> list[dict]:
     n, d = item
-    fails = []
-    u = complete_uniform(n, d, 2)
-    for order in _BOTH_ORDERS:
-        closed = sm_uniform_binary(n, d, order).exponent_vectors()
-        brute = vanishing_basis(u, order)[1].exponent_vectors()
-        if closed != brute:
-            fails.append(
-                {
-                    "params": {"n": n, "d": d, "order": order.value},
-                    "expected": sorted(brute),
-                    "actual": sorted(closed),
-                }
-            )
-    return fails
+    return _diff_closed_form(
+        {"n": n, "d": d}, complete_uniform(n, d, 2), lambda order: sm_uniform_binary(n, d, order)
+    )
 
 
 def _suite_uniform_binary(params: dict) -> tuple[int, list[dict]]:
@@ -218,26 +252,16 @@ def _suite_uniform_binary(params: dict) -> tuple[int, list[dict]]:
     n_max = _int_param(params, "n_max", minimum=1)
     jobs = _jobs_param(params)
     instances = [(n, d) for n in range(1, n_max + 1) for d in range(n + 1)]
-    results = _pmap(_check_uniform_binary, instances, jobs)
-    return len(instances), [f for fs in results for f in fs]
+    return _pmap(_check_uniform_binary, instances, jobs)
 
 
 def _check_hamming_sphere(item: tuple) -> list[dict]:
     n, d, q = item
-    fails = []
-    sphere = hamming_sphere(n, d, q)
-    for order in _BOTH_ORDERS:
-        closed = sm_hamming_sphere(n, d, q, order).exponent_vectors()
-        brute = vanishing_basis(sphere, order)[1].exponent_vectors()
-        if closed != brute:
-            fails.append(
-                {
-                    "params": {"n": n, "d": d, "q": q, "order": order.value},
-                    "expected": sorted(brute),
-                    "actual": sorted(closed),
-                }
-            )
-    return fails
+    return _diff_closed_form(
+        {"n": n, "d": d, "q": q},
+        hamming_sphere(n, d, q),
+        lambda order: sm_hamming_sphere(n, d, q, order),
+    )
 
 
 def _suite_hamming_sphere(params: dict) -> tuple[int, list[dict]]:
@@ -246,32 +270,21 @@ def _suite_hamming_sphere(params: dict) -> tuple[int, list[dict]]:
     q = _int_param(params, "q", minimum=2)
     jobs = _jobs_param(params)
     instances = [(n, d, q) for n in range(1, n_max + 1) for d in range(n + 1)]
-    results = _pmap(_check_hamming_sphere, instances, jobs)
-    return len(instances), [f for fs in results for f in fs]
+    return _pmap(_check_hamming_sphere, instances, jobs)
 
 
 def _check_blowup(item: tuple) -> list[dict]:
     n, q, members, order_values = item
     family = SetFamily(n, members)
-    fails = []
     grown = blow_up(family, q)
-    for value in order_values:
-        order = TermOrder(value)
-        closed = sm_blowup(family, q, order).exponent_vectors()
-        brute = vanishing_basis(grown, order)[1].exponent_vectors()
-        if closed != brute:
+    params = {"members": sorted(sorted(m) for m in members), "q": q}
+    orders = [TermOrder(value) for value in order_values]
+    fails = _diff_closed_form(params, grown, lambda order: sm_blowup(family, q, order), orders)
+    for order in orders:
+        if not certify_groebner(grown, gb_blowup(family, q, order), order):
             fails.append(
                 {
-                    "params": {"members": sorted(sorted(m) for m in members), "q": q, "order": value},
-                    "expected": sorted(brute),
-                    "actual": sorted(closed),
-                }
-            )
-        basis = gb_blowup(family, q, order)
-        if not certify_groebner(grown, basis, order):
-            fails.append(
-                {
-                    "params": {"members": sorted(sorted(m) for m in members), "q": q, "order": value},
+                    "params": {**params, "order": order.value},
                     "expected": "certified basis",
                     "actual": "certification failed",
                 }
@@ -285,7 +298,7 @@ def _suite_blowup(params: dict) -> tuple[int, list[dict]]:
     q = _int_param(params, "q", minimum=2)
     jobs = _jobs_param(params)
     order_values = tuple(o.value for o in _orders_param(params))
-    ground = [frozenset(m) for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
+    ground = [m for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
     if "samples" in params:
         samples = _int_param(params, "samples", minimum=1)
         rng = random.Random(_seed_param(params))
@@ -294,21 +307,16 @@ def _suite_blowup(params: dict) -> tuple[int, list[dict]]:
             while True:
                 pick = [m for m in ground if rng.random() < 0.5]
                 if pick:
-                    families.append(tuple(sorted(tuple(sorted(m)) for m in pick)))
+                    families.append(tuple(sorted(pick)))
                     break
     else:
         if n > _FAMILY_GROUND_CAP:
             raise ValueError(
                 f"exhaustive families need n <= {_FAMILY_GROUND_CAP}; pass samples= and seed="
             )
-        families = [
-            tuple(sorted(tuple(sorted(m)) for m in combo))
-            for r in range(1, len(ground) + 1)
-            for combo in itertools.combinations(ground, r)
-        ]
+        families = [tuple(sorted(combo)) for combo in _subsets(ground)]
     instances = [(n, q, members, order_values) for members in families]
-    results = _pmap(_check_blowup, instances, jobs)
-    return len(instances), [f for fs in results for f in fs]
+    return _pmap(_check_blowup, instances, jobs)
 
 
 def _suite_ballot_count(params: dict) -> tuple[int, list[dict]]:
@@ -370,8 +378,7 @@ def _suite_uniform_ballot(params: dict) -> tuple[int, list[dict]]:
     q = _int_param(params, "q", minimum=2)
     jobs = _jobs_param(params)
     instances = [(n, d, q) for n in range(1, n_max + 1) for d in range((q - 1) * n + 1)]
-    results = _pmap(_check_uniform_ballot, instances, jobs)
-    return len(instances), [f for fs in results for f in fs]
+    return _pmap(_check_uniform_ballot, instances, jobs)
 
 
 def _check_shatter_implication(item: tuple) -> list[dict]:
@@ -403,21 +410,16 @@ def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
     cert_samples = _int_param(params, "cert_samples", default=0, minimum=0)
     seed = _seed_param(params)
     jobs = _jobs_param(params)
-    grid = _grid(n, q)
+    grid = list(itertools.product(range(q), repeat=n))
     max_size = _int_param(params, "max_size", default=len(grid) - 1, minimum=1)
     max_size = min(max_size, len(grid) - 1)  # keep at least one pattern missing
 
     rng = random.Random(seed)
-    instances = []
-    for _ in range(samples):
-        size = rng.randint(1, max_size)
-        instances.append((n, q, tuple(sorted(rng.sample(grid, size)))))
-    results = _pmap(_check_shatter_implication, instances, jobs)
-    fails = [f for fs in results for f in fs]
+    instances = [(n, q, pts) for pts in _subsets(grid, rng, samples, max_size)]
+    _, fails = _pmap(_check_shatter_implication, instances, jobs)
 
-    for _ in range(cert_samples):
-        size = rng.randint(1, max_size)
-        v = PointSet(n, q, rng.sample(grid, size))
+    for pts in _subsets(grid, rng, cert_samples, max_size):
+        v = PointSet(n, q, pts)
         candidates = [
             cs
             for r in range(1, n + 1)
@@ -488,7 +490,7 @@ def _suite_hamming_sharpness(params: dict) -> tuple[int, list[dict]]:
         if q == 2:
             raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
         best = 0
-        for pts in _nonempty_subsets(sphere.points, _EXHAUSTIVE_CAP):
+        for pts in _subsets(sphere.points):
             v = PointSet(n, q, pts)
             checked += 1
             if _max_shattered(v) <= s:
@@ -544,10 +546,12 @@ def _suite_km_sharpness(params: dict) -> tuple[int, list[dict]]:
 def _check_compress(item: tuple) -> list[dict]:
     n, q, pts = item
     v = PointSet(n, q, pts)
+    # by default alon_compress checks no trace set above n = 4
+    every_set = [cs for r in range(n + 1) for cs in itertools.combinations(range(1, n + 1), r)]
     fails = []
     for order in _BOTH_ORDERS:
         try:
-            result = alon_compress(v, order)
+            alon_compress(v, order, trace_sets=every_set)
         except RuntimeError as exc:
             fails.append(
                 {
@@ -556,42 +560,12 @@ def _check_compress(item: tuple) -> list[dict]:
                     "actual": str(exc),
                 }
             )
-            continue
-        w = result.compressed
-        problems = []
-        if len(w) != len(v):
-            problems.append(f"size {len(w)} != {len(v)}")
-        if not is_downward_closed(w):
-            problems.append("not downward closed")
-        for r in range(n + 1):
-            for cs in itertools.combinations(range(1, n + 1), r):
-                if trace_size(w, cs) > trace_size(v, cs):
-                    problems.append(f"trace grew on {list(cs)}")
-        if problems:
-            fails.append(
-                {
-                    "params": {"points": [list(p) for p in pts], "order": order.value},
-                    "expected": "invariants hold",
-                    "actual": "; ".join(problems),
-                }
-            )
     return fails
 
 
 def _suite_alon_compress(params: dict) -> tuple[int, list[dict]]:
     """Compression invariants: size kept, downward closed, traces dominated."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
-    grid = _grid(n, q)
-    if "samples" in params:
-        samples = _int_param(params, "samples", minimum=1)
-        max_size = _int_param(params, "max_size", default=len(grid), minimum=1)
-        instances = _sample_subsets(grid, samples, max_size, _seed_param(params))
-    else:
-        instances = list(_nonempty_subsets(grid, _EXHAUSTIVE_CAP))
-    results = _pmap(_check_compress, [(n, q, pts) for pts in instances], jobs)
-    return len(instances), [f for fs in results for f in fs]
+    return _grid_subset_suite(_check_compress, params)
 
 
 def _suite_shatter_cap(params: dict) -> tuple[int, list[dict]]:
@@ -606,7 +580,7 @@ def _suite_shatter_cap(params: dict) -> tuple[int, list[dict]]:
     for d in range((q - 1) * n + 1):
         u = complete_uniform(n, d, q)
         cap = shatter_cap(d, q)
-        for pts in _nonempty_subsets(u.points, _EXHAUSTIVE_CAP):
+        for pts in _subsets(u.points):
             v = PointSet(n, q, pts)
             checked += 1
             worst = _max_shattered(v)
@@ -666,85 +640,41 @@ def _suite_sm_slice(params: dict) -> tuple[int, list[dict]]:
             cumulative[full_exponent_count(m, q)] += 1
         for i in range(1, n + 2):
             cumulative[i] += cumulative[i - 1]
-        for pts in _nonempty_subsets(u.points, _EXHAUSTIVE_CAP):
-            v = PointSet(n, q, pts)
-            worst = _max_shattered(v)
-            for s in range(max(worst, 0), n + 1):
-                checked += 1
-                allowed = cumulative[min(s, n)]
-                if len(v) > allowed:
-                    fails.append(
-                        {
-                            "params": {"n": n, "d": d, "q": q, "s": s, "points": [list(p) for p in pts]},
-                            "expected": f"at most {allowed} points",
-                            "actual": len(v),
-                        }
-                    )
+        for pts in _subsets(u.points):
+            c, f = _check_size(
+                PointSet(n, q, pts), n, lambda s: cumulative[s], {"n": n, "d": d, "q": q}
+            )
+            checked += c
+            fails += f
     return checked, fails
-
-
-def _search_instances(theorem: str, n: int, q: int) -> list[tuple[PointSet, int, int]]:
-    """(ambient system, d-or-None marker, max valid s) triples per slice."""
-    out = []
-    if theorem == "uniform":
-        for d in range((q - 1) * n + 1):
-            out.append((complete_uniform(n, d, q), d, n // 2))
-    elif theorem == "hamming":
-        for d in range(n + 1):
-            out.append((hamming_sphere(n, d, q), d, n - d))
-    else:
-        out.append((PointSet(n, q, _grid(n, q)), None, n - 1))
-    return out
-
-
-def _search_bound(theorem: str, n: int, q: int, d: int | None, s: int) -> int:
-    if theorem == "uniform":
-        return bound("uniform", n, d=d, s=s, q=q).value
-    if theorem == "hamming":
-        return bound("hamming", n, d=d, s=s, q=q).value
-    return bound("km", n, s=s, q=q).value
 
 
 def _suite_search(theorem: str, params: dict) -> tuple[int, list[dict]]:
     n = _int_param(params, "n", minimum=1)
     q = _int_param(params, "q", minimum=2)
-    checked = 0
-    fails = []
-    sampling = "samples" in params
-    if sampling:
+    rng, samples = None, 0
+    if "samples" in params:
         samples = _int_param(params, "samples", minimum=1)
         rng = random.Random(_seed_param(params))
-    for ambient, d, s_top in _search_instances(theorem, n, q):
-        if not len(ambient):
-            continue
-        if sampling:
-            size_cap = len(ambient)
-            subsets = (
-                tuple(sorted(rng.sample(list(ambient.points), rng.randint(1, size_cap))))
-                for _ in range(samples)
+    # (ambient system, d, largest s the theorem allows) per slice
+    if theorem == "uniform":
+        slices = [(complete_uniform(n, d, q), d, n // 2) for d in range((q - 1) * n + 1)]
+    elif theorem == "hamming":
+        slices = [(hamming_sphere(n, d, q), d, n - d) for d in range(n + 1)]
+    else:
+        slices = [(PointSet(n, q, itertools.product(range(q), repeat=n)), None, n - 1)]
+    checked = 0
+    fails = []
+    for ambient, d, s_top in slices:
+        for pts in _subsets(ambient.points, rng, samples):
+            c, f = _check_size(
+                PointSet(n, q, pts),
+                s_top,
+                lambda s: bound(theorem, n, d=d, s=s, q=q).value,
+                {"n": n, "q": q, "d": d},
             )
-        else:
-            subsets = _nonempty_subsets(ambient.points, _EXHAUSTIVE_CAP)
-        for pts in subsets:
-            v = PointSet(n, q, pts)
-            worst = _max_shattered(v)
-            for s in range(max(worst, 0), s_top + 1):
-                checked += 1
-                limit = _search_bound(theorem, n, q, d, s)
-                if len(v) > limit:
-                    fails.append(
-                        {
-                            "params": {
-                                "n": n,
-                                "q": q,
-                                "d": d,
-                                "s": s,
-                                "points": [list(p) for p in pts],
-                            },
-                            "expected": f"at most {limit} points",
-                            "actual": len(v),
-                        }
-                    )
+            checked += c
+            fails += f
     return checked, fails
 
 

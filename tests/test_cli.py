@@ -115,6 +115,15 @@ class TestConstruct:
         assert code == 2
         assert "requires --d" in err
 
+    @pytest.mark.parametrize(
+        "kind, degree", [("km", "--s"), ("uniform", "--d"), ("hamming", "--d")]
+    )
+    def test_single_point_in_high_dimension(self, capsys, kind, degree):
+        # the enumeration must not recurse once per coordinate
+        code, out, err = run_cli(capsys, "construct", kind, "--n", "1200", degree, "0", "--q", "2")
+        assert code == 0, err
+        assert out == "1200 2\n" + " ".join(["0"] * 1200) + "\n"
+
 
 @pytest.fixture
 def sphere_file(tmp_path):

@@ -184,12 +184,19 @@ class TestConstructions:
         assert len(complete_uniform(3, 1, 2)) == 3
 
     def test_complete_uniform_matches_filtered_grid(self):
-        for n, q in ((2, 3), (3, 2), (3, 3)):
-            for d in range((q - 1) * n + 1):
-                expected = {
-                    p for p in itertools.product(range(q), repeat=n) if sum(p) == d
-                }
-                assert set(complete_uniform(n, d, q)) == expected
+        # hamming_sphere and km_extremal share the enumerator; check them too
+        for n in range(1, 5):
+            for q in range(2, 5):
+                grid = list(itertools.product(range(q), repeat=n))
+                for d in range((q - 1) * n + 1):
+                    expected = {p for p in grid if sum(p) == d}
+                    assert set(complete_uniform(n, d, q)) == expected
+                for d in range(n + 1):
+                    expected = {p for p in grid if len(support(p)) == d}
+                    assert set(hamming_sphere(n, d, q)) == expected
+                for s in range(n + 1):
+                    expected = {p for p in grid if p.count(q - 1) <= s}
+                    assert set(km_extremal(n, s, q)) == expected
 
     def test_complete_uniform_out_of_range(self):
         with pytest.raises(ValueError):

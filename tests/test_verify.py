@@ -1,10 +1,17 @@
 """Report plumbing and the verification suite registry."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
 
+import shatterbasis.compress as compress
 import shatterbasis.verify as verify
+from shatterbasis.closedform import BoundReport, sm_uniform_binary
+from shatterbasis.ideals import StandardMonomialSet, vanishing_basis
+from shatterbasis.polyring import Monomial, TermOrder
+from shatterbasis.tuples import complete_uniform
 from shatterbasis.verify import (
     SUITE_NAMES,
     counterexample_search,
@@ -144,6 +151,38 @@ class TestSuiteOutcomes:
         assert report.verdict == "pass"
         assert report.checked == 50
 
+    def test_closed_form_mismatch_record(self, monkeypatch):
+        def drop_last(n, d, order=TermOrder.DEGLEX):
+            sm = sm_uniform_binary(n, d, order)
+            return StandardMonomialSet(order, sm.monomials[:-1])
+
+        monkeypatch.setattr(verify, "sm_uniform_binary", drop_last)
+        report = run_suite("uniform-binary", n_max=2)
+        assert report.verdict == "fail"
+        assert len(report.failures) == 2 * report.checked == 10
+        engine = vanishing_basis(complete_uniform(2, 1, 2), TermOrder.LEX)[1]
+        closed = drop_last(2, 1, TermOrder.LEX)
+        assert {
+            "params": {"n": 2, "d": 1, "order": "lex"},
+            "expected": sorted(engine.exponent_vectors()),
+            "actual": sorted(closed.exponent_vectors()),
+        } in report.failures
+
+    def test_compress_checks_every_coordinate_set_above_n4(self, monkeypatch):
+        # alon_compress checks no trace set by default above n = 4, so the
+        # suite must name them; inflate the compressed trace on the full set
+        # (a compressed system is downward closed, most samples are not)
+        def inflated(v, coords):
+            grow = len(set(coords)) == v.n and compress.is_downward_closed(v)
+            return len(v.restrictions(coords)) + grow
+
+        monkeypatch.setattr(compress, "trace_size", inflated)
+        report = run_suite("alon-compress", n=5, q=2, samples=6, max_size=12, seed=2)
+        assert report.verdict == "fail"
+        assert report.failures
+        for failure in report.failures:
+            assert failure["actual"].startswith("trace on [1, 2, 3, 4, 5] grew from ")
+
     def test_single_order_restriction(self):
         report = run_suite("blowup", n=2, q=3, order="lex")
         assert report.verdict == "pass"
@@ -168,3 +207,85 @@ class TestWrappers:
         assert report.checked == 14
         with pytest.raises(ValueError, match="no oracle diff"):
             oracle_diff("km-sharpness", {})
+
+
+def _no_normal_set(v, order=TermOrder.DEGLEX):
+    return None, StandardMonomialSet(order, ())
+
+
+def _every_exponent_standard(v, order=TermOrder.DEGLEX):
+    grid = itertools.product(range(v.q), repeat=v.n)
+    return None, StandardMonomialSet(order, tuple(Monomial(e) for e in grid))
+
+
+def _compress_fails(v, order=TermOrder.DEGLEX, trace_sets=None):
+    raise RuntimeError("stub compression failure")
+
+
+def _zero_bound(name, n, d=None, s=None, q=None):
+    return BoundReport(name, {}, 0)
+
+
+class TestSampledDrawPins:
+    """A passing report lists no instances, so each case stubs one library
+    name inside verify to make every drawn instance fail.  The failure
+    records then spell out the instances, and the digest of the canonical
+    report pins which instances a fixed seed draws."""
+
+    @pytest.mark.parametrize(
+        "suite, params, stubs, digest",
+        [
+            (
+                "sm-cardinality",
+                dict(n=3, q=3, samples=6, max_size=8, seed=3),
+                {"vanishing_basis": _no_normal_set},
+                "83d95e3ed5c54dac43a14ee8042636ccba7f9085a86ade091f354796368a5d52",
+            ),
+            (
+                "alon-compress",
+                dict(n=3, q=3, samples=6, max_size=8, seed=4),
+                {"alon_compress": _compress_fails},
+                "af248665f1ea6aad1ac5cc332540b73a98dff373d01d950fb095db63a345eba2",
+            ),
+            (
+                "blowup",
+                dict(n=3, q=3, samples=5, seed=5),
+                {"certify_groebner": lambda v, basis, order: False},
+                "29a37e2a10578021554d0e41ec1476c2973b5e689b69e39b0688a8978bc82b00",
+            ),
+            (
+                "search-km",
+                dict(n=3, q=3, samples=5, seed=6),
+                {"bound": _zero_bound},
+                "3bf1b1990620c13c41d55d6a7b9322db737a4e980461b57a091cd48aca0ca9cd",
+            ),
+            (
+                "search-hamming",
+                dict(n=3, q=3, samples=5, seed=7),
+                {"bound": _zero_bound},
+                "99a45b68417134ec2508c5090afd9fff9af8d3fc19bb3e5107337abee2b4b10e",
+            ),
+            (
+                "search-uniform",
+                dict(n=3, q=3, samples=5, seed=8),
+                {"bound": _zero_bound},
+                "2ce108d965eb7a72b2cb74ef61c13ea7966486751c6e3cf7ffb30b5f32e7ffbe",
+            ),
+            (
+                "shatter-certificates",
+                dict(n=3, q=3, samples=6, cert_samples=6, max_size=8, seed=9),
+                {
+                    "vanishing_basis": _every_exponent_standard,
+                    "leading_monomial": lambda poly, order: Monomial.unit(poly.n),
+                },
+                "c585d627f3cb8d04e5830a0cb0eafbb83767f71cc2f64e972703fbc0c5c0f88c",
+            ),
+        ],
+    )
+    def test_draws_are_pinned(self, monkeypatch, suite, params, stubs, digest):
+        for name, stub in stubs.items():
+            monkeypatch.setattr(verify, name, stub)
+        report = run_suite(suite, **params)
+        assert report.verdict == "fail"
+        canonical = json.dumps(report.canonical(), sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
