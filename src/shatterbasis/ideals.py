@@ -35,7 +35,7 @@ from .polyring import (
     TermOrder,
     leading_monomial,
 )
-from .tuples import EmptyPointSetError, Point, PointSet
+from .tuples import EmptyPointSetError, Point, PointSet, down_set
 
 __all__ = [
     "GroebnerBasis",
@@ -142,15 +142,9 @@ def _eliminate(
     pts = v.points
     n = v.n
 
-    heap: list[tuple] = []
-    seen: set[Point] = set()
-
-    def push(m: Monomial) -> None:
-        if m.exponents not in seen:
-            seen.add(m.exponents)
-            heapq.heappush(heap, (order.key(m), m.exponents))
-
-    push(Monomial.unit(n))
+    # (key, exponents, last): a standard m pushes m*x_i only for i >= last (m's last nonzero
+    # position), so each candidate has one parent; a lead divides it if its parent is not standard.
+    heap: list[tuple] = [(order.key(Monomial.unit(n)), (0,) * n, 0)]
 
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int], dict[int, int]]] = []
@@ -158,7 +152,7 @@ def _eliminate(
     leads: list[Monomial] = []
 
     while heap:
-        _, expo = heapq.heappop(heap)
+        _, expo, last = heapq.heappop(heap)
         m = Monomial(expo)
         if any(lead.divides(m) for lead in leads):
             continue
@@ -169,8 +163,9 @@ def _eliminate(
             comb[len(standard)] = comb.pop(-1)
             rows.append((pivot, vec, comb))
             standard.append(m)
-            for i in range(1, n + 1):
-                push(m * Monomial.variable(i, n))
+            for i in range(last, n):
+                child = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
+                heapq.heappush(heap, (order.key(Monomial(child)), child, i))
         else:
             alpha = comb.pop(-1)
             terms: dict[Monomial, Fraction] = {m: Fraction(1)}
@@ -180,7 +175,7 @@ def _eliminate(
             leads.append(m)
 
     if len(standard) != len(pts):
-        raise AssertionError(
+        raise RuntimeError(
             f"engine error: found {len(standard)} standard monomials for {len(pts)} points"
         )
     return standard, rows, generators
@@ -234,32 +229,24 @@ def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder)
     """Certify that a list of polynomials is a Groebner basis of I(V).
 
     The test is the standard counting argument: every element must vanish
-    on V, every variable must have a pure power among the leading
-    monomials (otherwise the normal set is infinite), and the number of
-    monomials divisible by no leading monomial must equal |V|.  Accepts
-    reduced and non-reduced bases alike.
+    on V, and exactly |V| monomials must be divisible by no leading
+    monomial.  Those form a down-set, grown from 1 and counted only up to
+    |V| + 1, so an infinite or too large normal set stops the count early.
+    Accepts reduced and non-reduced bases alike.
     """
-    n, q = v.n, v.q
+    n = v.n
     for g in basis:
         if g.n != n:
             raise ValueError(f"dimension mismatch: {g.n} vs {n}")
         if any(g.evaluate(p) != 0 for p in v):
             return False
-    leads = [leading_monomial(g, order) for g in basis if not g.is_zero()]
+    leads = [leading_monomial(g, order).exponents for g in basis if not g.is_zero()]
 
-    for i in range(1, n + 1):
-        pure_power = Monomial.variable(i, n).power(q)
-        if not any(lm.divides(pure_power) for lm in leads):
-            return False
+    def free(u: Point) -> bool:
+        return not any(all(a <= b for a, b in zip(lead, u)) for lead in leads)
 
-    free = 0
-    for expo in itertools.product(range(q), repeat=n):
-        m = Monomial(expo)
-        if not any(lm.divides(m) for lm in leads):
-            free += 1
-            if free > len(v):
-                return False
-    return free == len(v)
+    free_count = sum(1 for _ in itertools.islice(down_set(n, free), len(v) + 1))
+    return free_count == len(v)
 
 
 def non_shatter_certificate(v: PointSet, coords: Iterable[int], witness: Sequence[int]) -> Polynomial:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polyring import Monomial
 
@@ -184,14 +184,26 @@ def shatters(v: PointSet, coords: Iterable[int]) -> bool:
     return len(seen) == want
 
 
+def down_set(n: int, keep: Callable[[Point], bool], top: int | None = None) -> Iterator[Point]:
+    """The members of a down-set of N^n, given its membership test keep,
+    with entries at most top when top is given; not exported.  Each member
+    is made once, from its canonical parent (one below it in its last
+    nonzero entry), so keep sees only the members and their border.
+    """
+    stack = [((0,) * n, 0)]  # (vector, position of its last nonzero entry)
+    while stack:
+        u, last = stack.pop()
+        if keep(u):
+            yield u
+            for i in range(last, n):
+                if top is None or u[i] < top:
+                    stack.append((u[:i] + (u[i] + 1,) + u[i + 1 :], i))
+
+
 def shattered_family(v: PointSet) -> SetFamily:
-    """All coordinate sets shattered by v (including the empty set)."""
-    hits = []
-    for r in range(v.n + 1):
-        for cs in itertools.combinations(range(1, v.n + 1), r):
-            if shatters(v, cs):
-                hits.append(cs)
-    return SetFamily(v.n, hits)
+    """All coordinate sets shattered by v: a down-set holding the empty set."""
+    members = down_set(v.n, lambda u: shatters(v, support(u)), top=1)
+    return SetFamily(v.n, map(support, members))
 
 
 def classify(v: PointSet) -> Uniformity:

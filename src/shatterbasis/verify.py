@@ -42,6 +42,7 @@ from .tuples import (
     lower_bound_slice,
     shatters,
     shattered_family,
+    support,
 )
 
 __all__ = ["Report", "run_suite", "counterexample_search", "oracle_diff", "SUITE_NAMES"]
@@ -385,20 +386,19 @@ def _check_shatter_implication(item: tuple) -> list[dict]:
     n, q, pts = item
     v = PointSet(n, q, pts)
     _, sm = vanishing_basis(v, TermOrder.DEGLEX)
-    exponents = sm.exponent_vectors()
-    fails = []
-    for r in range(1, n + 1):
-        for cs in itertools.combinations(range(1, n + 1), r):
-            full = tuple(q - 1 if i in cs else 0 for i in range(1, n + 1))
-            if full in exponents and not shatters(v, cs):
-                fails.append(
-                    {
-                        "params": {"points": [list(p) for p in pts], "coords": list(cs)},
-                        "expected": "shattered",
-                        "actual": "not shattered",
-                    }
-                )
-    return fails
+    full_powers = sorted(
+        (sorted(support(e)) for e in sm.exponent_vectors() if any(e) and set(e) <= {0, q - 1}),
+        key=lambda cs: (len(cs), cs),
+    )
+    return [
+        {
+            "params": {"points": [list(p) for p in pts], "coords": cs},
+            "expected": "shattered",
+            "actual": "not shattered",
+        }
+        for cs in full_powers
+        if not shatters(v, cs)
+    ]
 
 
 def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:

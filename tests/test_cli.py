@@ -204,6 +204,38 @@ class TestCoreCommands:
         assert "characteristic vectors" in err
 
 
+class TestOutputSensitiveCommands:
+    """A single point in high dimension has one standard monomial and
+    shatters only the empty set; neither answer may need a walk over the
+    q^n box or the 2^n coordinate sets."""
+
+    @staticmethod
+    def run_module(tmp_path, n, q, *argv):
+        path = tmp_path / "point.txt"
+        path.write_text(f"{n} {q}\n" + " ".join(["0"] * n) + "\n")
+        src = Path(shatterbasis.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "shatterbasis", argv[0], "--in", str(path), *argv[1:]],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    def test_shatter_single_point(self, tmp_path):
+        proc = self.run_module(tmp_path, 24, 2, "shatter", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * 24]
+
+    @pytest.mark.parametrize("n, q", [(24, 2), (16, 3)])
+    def test_certify_single_point(self, tmp_path, n, q):
+        proc = self.run_module(tmp_path, n, q, "certify", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["certified"] is True
+        assert payload["standard_monomials"] == 1
+
+
 class TestBoundsCommand:
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--name", "sauer", "--n", "6", "--s", "2")
@@ -292,6 +324,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sm", "--in", str(path))
         assert code == 1
         assert "engine invariant" in err
+
+    def test_engine_invariant_exits_one(self, capsys, tmp_path, monkeypatch):
+        # every candidate reduces to zero, so the engine finds no standard monomial
+        def zero(vec, comb, rows):
+            return [0] * len(vec), comb
+
+        monkeypatch.setattr("shatterbasis.ideals._reduce_against", zero)
+        path = tmp_path / "v.txt"
+        path.write_text("2 2\n0 0\n1 1\n")
+        code, _, err = run_cli(capsys, "sm", "--in", str(path))
+        assert code == 1
+        assert "error: engine error" in err
 
     def test_repeat_invocations_are_byte_identical(self, capsys, sphere_file):
         _, first, _ = run_cli(capsys, "gb", "--in", sphere_file, "--format", "json")

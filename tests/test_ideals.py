@@ -1,6 +1,7 @@
 """The vanishing-ideal engine against an independent dense-elimination oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,44 @@ class TestCertifyGroebner:
         x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
         padded = list(gb.generators) + [(x1 - x2) * x2]
         assert certify_groebner(v, padded, DEGLEX)
+
+    def test_finite_normal_set_outside_the_box_fails(self):
+        # 1, x1, x1^2 are free: a finite normal set, but larger than |V|
+        v = PointSet(1, 2, [(0,), (1,)])
+        x1 = Polynomial.variable(1, 1)
+        assert not certify_groebner(v, [x1 * x1 * x1 - x1], DEGLEX)
+
+    def test_agrees_with_box_count(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(300):
+            n, q = rng.randint(1, 3), rng.randint(2, 4)
+            grid = box(n, q)
+            v = PointSet(n, q, rng.sample(grid, rng.randint(1, min(len(grid), 12))))
+            order = rng.choice([DEGLEX, LEX])
+            gb, _ = vanishing_basis(v, order)
+            candidates = list(gb.generators)
+            candidates += [field_polynomial(i, q, n) for i in range(1, n + 1)]
+            candidates += [Polynomial.variable(i, n) * g for g in gb for i in range(1, n + 1)]
+            basis = [g for g in candidates if rng.random() < 0.5]
+            expected = box_count_certify(v, basis, order)
+            assert certify_groebner(v, basis, order) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
+def box_count_certify(v, basis, order):
+    """The counting test over the q^n box: vanishing on V, a leading
+    monomial dividing every x_i^q, then exactly |V| free box points."""
+    n, q = v.n, v.q
+    if any(g.evaluate(p) != 0 for g in basis for p in v):
+        return False
+    leads = [leading_monomial(g, order) for g in basis if not g.is_zero()]
+    for i in range(1, n + 1):
+        if not any(lm.divides(Monomial.variable(i, n).power(q)) for lm in leads):
+            return False
+    free = [e for e in box(n, q) if not any(lm.divides(Monomial(e)) for lm in leads)]
+    return len(free) == len(v)
 
 
 class TestNonShatterCertificate:

@@ -1,6 +1,7 @@
 """Tuple systems, set families and the named combinatorial constructions."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from shatterbasis.tuples import (
     blow_up,
     classify,
     complete_uniform,
+    down_set,
     full_exponent_count,
     hamming_sphere,
     km_extremal,
@@ -154,6 +156,28 @@ class TestShattering:
         for r in range(3):
             for cs in itertools.combinations(range(1, 3), r):
                 assert shatters(v, cs) == reference_shatters(v.points, v.q, cs)
+
+
+class TestDownSet:
+    def test_yields_each_member_once(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+
+            def keep(u):
+                return any(all(a <= b for a, b in zip(u, g)) for g in gens)
+
+            for top in (None, 1, 2):
+                bound = 3 if top is None else top
+                expected = {u for u in itertools.product(range(bound + 1), repeat=n) if keep(u)}
+                got = list(down_set(n, keep, top=top))
+                assert len(got) == len(set(got))
+                assert set(got) == expected
+
+    def test_rejected_zero_vector_yields_nothing(self):
+        assert list(down_set(3, lambda u: False)) == []
+        assert list(down_set(3, lambda u: any(u), top=1)) == []
 
 
 class TestClassify:
