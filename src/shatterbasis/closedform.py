@@ -9,7 +9,6 @@ that turn them into shattering bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -23,7 +22,7 @@ from .polyring import (
     field_polynomial,
     normal_form,
 )
-from .tuples import PointSet, SetFamily, subfamily_through, support
+from .tuples import Point, PointSet, SetFamily, down_set, level_partition, subfamily_through, support
 
 __all__ = [
     "BoundReport",
@@ -63,26 +62,15 @@ def _choose(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _sorted_monomials(monos: Iterable[Monomial], order: TermOrder) -> tuple[Monomial, ...]:
-    return tuple(sorted(monos, key=order.key))
-
-
 def sm_uniform_binary(n: int, d: int, order: TermOrder = TermOrder.DEGLEX) -> StandardMonomialSet:
     """Standard monomials of the complete d-uniform system over {0,1}^n.
 
     These are the squarefree monomials x_U with U = {u_1 < ... < u_l},
-    l <= min(d, n-d) and u_i >= 2i for every i.  The same set works for
-    every admissible order, and its size is C(n, d).
+    l <= min(d, n-d) and u_i >= 2i for every i: the q = 2 case of
+    sm_hamming_sphere.  The same set works for every admissible order, and
+    its size is C(n, d).
     """
-    if not 0 <= d <= n:
-        raise ValueError(f"d={d} out of range 0..{n}")
-    k = min(d, n - d)
-    monos = []
-    for size in range(k + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            if all(u >= 2 * i for i, u in enumerate(combo, start=1)):
-                monos.append(Monomial.squarefree(combo, n))
-    return StandardMonomialSet(order, _sorted_monomials(monos, order))
+    return sm_hamming_sphere(n, d, 2, order)
 
 
 def sm_hamming_sphere(
@@ -98,30 +86,31 @@ def sm_hamming_sphere(
     * listing the non-interior positions in increasing order, the i-th
       smallest member of T must sit at position >= 2i.
 
+    The qualifying vectors form a down-set, walked from the zero vector.
     The size always comes out as C(n, d) * (q-1)^d.
     """
     if not 0 <= d <= n:
         raise ValueError(f"d={d} out of range 0..{n}")
     if q < 2:
         raise ValueError("alphabet size q must be at least 2")
-    monos = []
-    for u in itertools.product(range(q), repeat=n):
-        interior = [i for i, e in enumerate(u, start=1) if 0 < e < q - 1]
-        c = len(interior)
-        if c > d:
-            continue
-        full = [i for i, e in enumerate(u, start=1) if e == q - 1]
-        if len(full) > min(d - c, n - d):
-            continue
-        rest = sorted(i for i, e in enumerate(u, start=1) if e == 0 or e == q - 1)
-        rank = {pos: j for j, pos in enumerate(rest, start=1)}
-        if all(rank[pos] >= 2 * i for i, pos in enumerate(full, start=1)):
-            monos.append(Monomial(u))
-    return StandardMonomialSet(order, _sorted_monomials(monos, order))
+
+    def qualifies(u: Point) -> bool:
+        parts = level_partition(u, q)
+        c = len(parts.interior)
+        if c > d or len(parts.top) > min(d - c, n - d):
+            return False
+        rest = sorted(parts.top | parts.zero)
+        ranks = [r for r, pos in enumerate(rest, start=1) if pos in parts.top]
+        return all(r >= 2 * i for i, r in enumerate(ranks, start=1))
+
+    monos = map(Monomial, down_set(n, qualifies, top=q - 1))
+    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
 
 
 # Blow-up subproblems are binary vanishing ideals over the full ground set;
 # sweeps over many families hit the same subfamily repeatedly, so memoize.
+# Past the cap the oldest entry goes first (dicts keep insertion order).
+_BINARY_CACHE_CAP = 4096
 _binary_cache: dict[tuple[PointSet, TermOrder], tuple[GroebnerBasis, StandardMonomialSet]] = {}
 
 
@@ -129,8 +118,17 @@ def _binary_basis(v: PointSet, order: TermOrder) -> tuple[GroebnerBasis, Standar
     key = (v, order)
     hit = _binary_cache.get(key)
     if hit is None:
+        if len(_binary_cache) >= _BINARY_CACHE_CAP:
+            del _binary_cache[next(iter(_binary_cache))]
         hit = _binary_cache[key] = vanishing_basis(v, order)
     return hit
+
+
+def _check_blowup(family: SetFamily, q: int) -> None:
+    if not len(family):
+        raise ValueError("the family must be nonempty")
+    if q < 2:
+        raise ValueError("alphabet size q must be at least 2")
 
 
 def sm_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) -> StandardMonomialSet:
@@ -140,66 +138,60 @@ def sm_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
     positions is nonempty and the squarefree monomial on its full
     positions is standard for that subfamily's binary vanishing ideal.
     The binary subproblems are solved by the evaluation algorithm, not
-    assumed in closed form.
+    assumed in closed form, once per interior set the walk of the
+    down-set meets.
     """
-    if not len(family):
-        raise ValueError("the family must be nonempty")
-    if q < 2:
-        raise ValueError("alphabet size q must be at least 2")
-    n = family.n
-    monos: list[Monomial] = []
-    for size in range(n + 1):
-        if q == 2 and size > 0:
-            break  # no interior values exist for q = 2
-        for js in itertools.combinations(range(1, n + 1), size):
+    _check_blowup(family, q)
+    # interior set J -> supports of the binary standard monomials through J;
+    # every point through J is 1 at each j in J, so these avoid J
+    normal: dict[frozenset[int], set[frozenset[int]]] = {}
+
+    def qualifies(u: Point) -> bool:
+        parts = level_partition(u, q)
+        js = parts.interior
+        if js not in normal:
             sub = subfamily_through(family, js)
-            if not len(sub):
-                continue
-            _, sm = _binary_basis(sub.to_point_set(), order)
-            for m in sm:
-                full = support(m.exponents)
-                # positions through which the subfamily was taken carry the
-                # value 1 on every characteristic vector, so x_j is a leading
-                # monomial there and standard monomials avoid J entirely
-                for values in itertools.product(range(1, q - 1), repeat=size):
-                    expo = [0] * n
-                    for j, val in zip(js, values):
-                        expo[j - 1] = val
-                    for i in full:
-                        expo[i - 1] = q - 1
-                    monos.append(Monomial(tuple(expo)))
-    return StandardMonomialSet(order, _sorted_monomials(monos, order))
+            sm = _binary_basis(sub.to_point_set(), order)[1] if len(sub) else ()
+            normal[js] = {support(m.exponents) for m in sm}
+        return parts.top in normal[js]
+
+    monos = map(Monomial, down_set(family.n, qualifies, top=q - 1))
+    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
 
 
 def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) -> list[Polynomial]:
     """A (generally non-reduced) Groebner basis for the blow-up's ideal.
 
-    The basis joins the n alphabet polynomials with, for every coordinate
-    set J, either x_J times the lifted generators of the binary ideal of
-    the subfamily through J, or the bare monomial x_J when that subfamily
-    is empty.
+    The coordinate sets J inside some member form a down-set.  The basis
+    joins the n alphabet polynomials, x_J times the lifted generators of
+    the binary ideal of the subfamily through J for every J of that
+    down-set, and the bare monomial x_J for every J one element above it
+    that the walk of the down-set tests.  Those include every minimal J
+    with an empty subfamily, and x_J for any larger such J is a multiple
+    of one of them.
     """
-    if not len(family):
-        raise ValueError("the family must be nonempty")
-    if q < 2:
-        raise ValueError("alphabet size q must be at least 2")
+    _check_blowup(family, q)
     n = family.n
     out = [field_polynomial(i, q, n) for i in range(1, n + 1)]
-    lifted: dict[tuple[Polynomial, int], Polynomial] = {}
-    for size in range(n + 1):
-        for js in itertools.combinations(range(1, n + 1), size):
-            sub = subfamily_through(family, js)
-            xj = Polynomial.from_monomial(Monomial.squarefree(js, n))
-            if not len(sub):
-                out.append(xj)
-                continue
-            gb, _ = _binary_basis(sub.to_point_set(), order)
-            for g in gb:
-                key = (g, q)
-                bar = lifted.get(key)
-                if bar is None:
-                    bar = lifted[key] = binary_lift(g, q)
-                out.append(xj * bar)
+    outside: list[Point] = []
+
+    def inside(u: Point) -> bool:
+        js = support(u)
+        if any(js <= m for m in family.members):
+            return True
+        outside.append(u)
+        return False
+
+    lifted: dict[Polynomial, Polynomial] = {}
+    for u in down_set(n, inside, top=1):
+        xj = Polynomial.from_monomial(Monomial(u))
+        gb, _ = _binary_basis(subfamily_through(family, support(u)).to_point_set(), order)
+        for g in gb:
+            bar = lifted.get(g)
+            if bar is None:
+                bar = lifted[g] = binary_lift(g, q)
+            out.append(xj * bar)
+    out += [Polynomial.from_monomial(Monomial(u)) for u in outside]
     return out
 
 

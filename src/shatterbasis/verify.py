@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -91,10 +92,12 @@ def _verdict(failures: Sequence[dict]) -> str:
 
 def _pmap(check: Callable[[tuple], list[dict]], items: Sequence, jobs: int) -> tuple[int, list[dict]]:
     """Run a top-level check on every item (a plain tuple, so that worker
-    processes can receive it); return the item count and all failures."""
+    processes can receive it), in at most one worker process per item and
+    per CPU; return the item count and all failures."""
     items = list(items)
-    if jobs > 1 and len(items) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(min(jobs, len(items))) as pool:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.map(check, items)
     else:
         results = [check(item) for item in items]

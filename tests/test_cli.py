@@ -337,6 +337,16 @@ class TestExitCodes:
         assert code == 1
         assert "error: engine error" in err
 
+    def test_interrupt_exits_one_without_traceback(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("shatterbasis.cli._cmd_bounds", interrupted)
+        code, out, err = run_cli(capsys, "bounds", "--name", "sauer", "--n", "6", "--s", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: interrupted\n"
+
     def test_repeat_invocations_are_byte_identical(self, capsys, sphere_file):
         _, first, _ = run_cli(capsys, "gb", "--in", sphere_file, "--format", "json")
         _, second, _ = run_cli(capsys, "gb", "--in", sphere_file, "--format", "json")

@@ -1,12 +1,19 @@
 """Closed-form normal sets, counting formulas, bounds and certificates."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shatterbasis
+import shatterbasis.closedform as closedform
 from reference import deglex_key, reference_sm
 from shatterbasis.closedform import (
     BOUND_NAMES,
@@ -22,7 +29,7 @@ from shatterbasis.closedform import (
     sm_uniform_binary,
     uniform_leading_certificate,
 )
-from shatterbasis.ideals import certify_groebner, vanishing_basis
+from shatterbasis.ideals import StandardMonomialSet, certify_groebner, vanishing_basis
 from shatterbasis.polyring import (
     Monomial,
     Polynomial,
@@ -31,6 +38,7 @@ from shatterbasis.polyring import (
     leading_monomial,
 )
 from shatterbasis.tuples import (
+    PointSet,
     SetFamily,
     ballot_member,
     blow_up,
@@ -40,6 +48,8 @@ from shatterbasis.tuples import (
     km_extremal,
     minimal_ballot_violators,
     shattered_family,
+    subfamily_through,
+    support,
 )
 
 DEGLEX = TermOrder.DEGLEX
@@ -48,6 +58,73 @@ LEX = TermOrder.LEX
 
 def mono(*exponents):
     return Monomial(tuple(exponents))
+
+
+def box_sm_hamming_sphere(n, d, q, order):
+    """Reference: the qualification rule of sm_hamming_sphere, filtered
+    over the whole q^n box."""
+    monos = []
+    for u in itertools.product(range(q), repeat=n):
+        interior = [i for i, e in enumerate(u, start=1) if 0 < e < q - 1]
+        c = len(interior)
+        if c > d:
+            continue
+        full = [i for i, e in enumerate(u, start=1) if e == q - 1]
+        if len(full) > min(d - c, n - d):
+            continue
+        rest = sorted(i for i, e in enumerate(u, start=1) if e == 0 or e == q - 1)
+        rank = {pos: j for j, pos in enumerate(rest, start=1)}
+        if all(rank[pos] >= 2 * i for i, pos in enumerate(full, start=1)):
+            monos.append(Monomial(u))
+    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
+
+
+def loop_sm_blowup(family, q, order):
+    """Reference: for every coordinate set J with a nonempty subfamily, each
+    binary standard monomial of that subfamily with every interior value
+    vector placed on J."""
+    n = family.n
+    monos = []
+    for size in range(n + 1 if q > 2 else 1):
+        for js in itertools.combinations(range(1, n + 1), size):
+            sub = subfamily_through(family, js)
+            if not len(sub):
+                continue
+            _, sm = vanishing_basis(sub.to_point_set(), order)
+            for m in sm:
+                for values in itertools.product(range(1, q - 1), repeat=size):
+                    expo = [0] * n
+                    for j, val in zip(js, values):
+                        expo[j - 1] = val
+                    for i in support(m.exponents):
+                        expo[i - 1] = q - 1
+                    monos.append(Monomial(tuple(expo)))
+    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
+
+
+def seeded_families(count, seed):
+    """(family, q) pairs with n <= 5, q <= 4 and up to 8 members."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        q = rng.randint(2, 4)
+        subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+        yield SetFamily(n, rng.sample(subsets, rng.randint(1, min(8, len(subsets))))), q
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports this package; fails on
+    a 60 s timeout."""
+    src = Path(shatterbasis.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 class TestUniformBinary:
@@ -125,6 +202,22 @@ class TestHammingSphere:
                 for q in (2, 3, 4):
                     assert len(sm_hamming_sphere(n, d, q)) == comb(n, d) * (q - 1) ** d
 
+    def test_matches_box_filter(self):
+        grid = [(n, q) for q in (2, 3) for n in range(1, 7)]
+        grid += [(n, q) for q in (4, 5) for n in range(1, 5)]
+        for n, q in grid:
+            for d in range(n + 1):
+                for order in (DEGLEX, LEX):
+                    assert sm_hamming_sphere(n, d, q, order) == box_sm_hamming_sphere(n, d, q, order)
+
+    def test_high_dimension_is_output_sensitive(self):
+        # the q^n box has 3^16 points; the normal set has 32
+        code = (
+            "from shatterbasis.closedform import sm_hamming_sphere\n"
+            "print(len(sm_hamming_sphere(16, 1, 3)))\n"
+        )
+        assert run_python(code) == ["32"]
+
     def test_matches_oracle(self):
         for n, q in ((3, 3), (3, 4), (2, 5)):
             for d in range(n + 1):
@@ -187,6 +280,70 @@ class TestBlowup:
                         sm_blowup(fam, 3, order).exponent_vectors()
                         == vanishing_basis(grown, order)[1].exponent_vectors()
                     )
+
+    def test_matches_coordinate_set_loop(self):
+        for family, q in seeded_families(240, seed=5):
+            for order in (DEGLEX, LEX):
+                assert sm_blowup(family, q, order) == loop_sm_blowup(family, q, order)
+
+    def test_gb_bare_generators_sit_just_outside_the_member_down_set(self):
+        def inside(js, family):
+            return any(js <= m for m in family.members)
+
+        seen = 0
+        for family, q in seeded_families(240, seed=6):
+            if q == 2:
+                continue  # lifted binary generators can be bare monomials too
+            bare = [g for g in gb_blowup(family, q) if len(g.monomials()) == 1]
+            seen += len(bare)
+            for g in bare:
+                (m,) = g.monomials()
+                assert g == Polynomial.from_monomial(m)
+                assert set(m.exponents) <= {0, 1}
+                js = support(m.exponents)
+                assert not inside(js, family)
+                assert any(inside(js - {j}, family) for j in js)
+        assert seen
+
+    def test_gb_certifies_seeded_families(self):
+        for family, q in seeded_families(240, seed=5):
+            if family.n > 4 or q > 3:
+                continue  # certification evaluates every generator on V exactly
+            grown = blow_up(family, q)
+            for order in (DEGLEX, LEX):
+                assert certify_groebner(grown, gb_blowup(family, q, order), order)
+
+    def test_gb_single_member_in_high_dimension(self):
+        # 20 alphabet polynomials, 20 + 20 products for J = {} and {1},
+        # bare x_j and x_1 x_j for j = 2..20
+        assert len(gb_blowup(SetFamily(20, [{1}]), 3)) == 98
+
+    def test_single_member_in_high_dimension_is_output_sensitive(self):
+        code = (
+            "from shatterbasis.closedform import gb_blowup, sm_blowup\n"
+            "from shatterbasis.ideals import certify_groebner\n"
+            "from shatterbasis.polyring import TermOrder\n"
+            "from shatterbasis.tuples import SetFamily, blow_up\n"
+            "family = SetFamily(24, [{1}])\n"
+            "order = TermOrder.DEGLEX\n"
+            "gens = gb_blowup(family, 3, order)\n"
+            "print(len(sm_blowup(family, 3, order)), len(gens))\n"
+            "print(certify_groebner(blow_up(family, 3), gens, order))\n"
+        )
+        assert run_python(code) == ["2", "118", "True"]
+
+    def test_binary_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(closedform, "_binary_cache", {})
+        monkeypatch.setattr(closedform, "vanishing_basis", lambda v, order: (object(), v))
+        cap = closedform._BINARY_CACHE_CAP
+        systems = [PointSet(13, 2, [[(i >> k) & 1 for k in range(13)]]) for i in range(cap + 5)]
+        for v in systems:
+            closedform._binary_basis(v, DEGLEX)
+        assert len(closedform._binary_cache) == cap
+        assert (systems[0], DEGLEX) not in closedform._binary_cache
+        hit = closedform._binary_basis(systems[-1], DEGLEX)
+        assert hit is closedform._binary_basis(systems[-1], DEGLEX)
+        assert hit is closedform._binary_cache[(systems[-1], DEGLEX)]
 
 
 class TestCounting:

@@ -127,6 +127,32 @@ class TestSuiteOutcomes:
         assert serial.failures == parallel.failures
         assert parallel.verdict == "pass"
 
+    @pytest.mark.parametrize("cpus, expected", [(2, [2]), (None, []), (64, [15])])
+    def test_workers_clamped_to_items_and_cpus(self, monkeypatch, cpus, expected):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, k):
+                pools.append(k)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class Context:
+            Pool = SerialPool
+
+        monkeypatch.setattr(verify.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        report = run_suite("sm-cardinality", n=2, q=2, jobs=5000)
+        assert pools == expected  # 15 items, jobs=5000; no pool below two workers
+        assert (report.checked, report.verdict) == (15, "pass")
+
     def test_km_sharpness(self):
         report = run_suite("km-sharpness", n_max=3, s_max=1, q_max=3)
         assert report.verdict == "pass"
