@@ -18,6 +18,12 @@ the rational generator coefficients come from one exact division at the
 end.  ``interpolate`` shares this kernel: it reduces the integer-scaled
 value vector against the same rows, and its coefficients come from the
 same single exact division.
+
+Evaluation on V is integer-only as well.  An evaluation table builds each
+monomial's vector on V once, as a parent's vector times a power of one
+coordinate column; the engine's candidates take their vectors from it,
+and checking that polynomials vanish on V scales each one by the lcm of
+its denominators and takes integer dot products with those vectors.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -88,6 +95,67 @@ class StandardMonomialSet:
         return frozenset(m.exponents for m in self.monomials)
 
 
+class _EvaluationTable:
+    """Integer evaluation vectors of monomials on the points of V, in V's
+    order, keyed by exponent tuple.
+
+    A monomial's vector is built once and kept: its parent (the monomial
+    with its last nonzero exponent e_i set to 0) times column i raised to
+    e_i.  Chains are at most n long and a large exponent costs one power
+    column, not one vector per unit of degree.  Vectors are shared, so
+    callers must not mutate them.
+    """
+
+    __slots__ = ("_points", "_powers", "_vectors")
+
+    def __init__(self, v: PointSet) -> None:
+        self._points = v.points
+        self._powers: dict[tuple[int, int], list[int]] = {}
+        self._vectors: dict[Point, list[int]] = {(0,) * v.n: [1] * len(v)}
+
+    def vector(self, expo: Point) -> list[int]:
+        vectors = self._vectors
+        missing = []
+        while expo not in vectors:
+            i = max(k for k, e in enumerate(expo) if e)
+            missing.append((expo, i))
+            expo = expo[:i] + (0,) * (len(expo) - i)
+        vec = vectors[expo]
+        for expo, i in reversed(missing):
+            vec = vectors[expo] = [a * b for a, b in zip(vec, self._power(i, expo[i]))]
+        return vec
+
+    def _power(self, i: int, e: int) -> list[int]:
+        column = self._powers.get((i, e))
+        if column is None:
+            column = self._powers[(i, e)] = [p[i] ** e for p in self._points]
+        return column
+
+
+def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point] | None:
+    """The index of the first polynomial that does not vanish on V, with
+    its first point of V (in V's order) where it is nonzero; None when
+    every polynomial vanishes on V.
+
+    No Fraction is evaluated: each polynomial is scaled by the lcm of its
+    denominators, and its value at a point is the integer dot product of
+    the scaled coefficients with the monomials' evaluation vectors, taken
+    from one table built for this call.
+    """
+    table = _EvaluationTable(v)
+    for k, g in enumerate(polys):
+        terms = list(g.items())
+        if not terms:
+            continue
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        weights = [c.numerator * (scale // c.denominator) for _, c in terms]
+        vectors = [table.vector(m.exponents) for m, _ in terms]
+        for p, values in zip(v.points, zip(*vectors)):
+            if sum(map(operator.mul, weights, values)):
+                return k, p
+    return None
+
+
 def _strip_content(vec: list[int], comb: dict[int, int]) -> tuple[list[int], dict[int, int]]:
     g = 0
     for x in vec:
@@ -139,13 +207,13 @@ def _eliminate(
     vectors to the row's vector, and the row is zero at the pivots of the
     rows before it.
     """
-    pts = v.points
     n = v.n
 
     # (key, exponents, last): a standard m pushes m*x_i only for i >= last (m's last nonzero
     # position), so each candidate has one parent; a lead divides it if its parent is not standard.
     heap: list[tuple] = [(order.key(Monomial.unit(n)), (0,) * n, 0)]
 
+    table = _EvaluationTable(v)
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int], dict[int, int]]] = []
     generators: list[Polynomial] = []
@@ -156,8 +224,8 @@ def _eliminate(
         m = Monomial(expo)
         if any(lead.divides(m) for lead in leads):
             continue
-        vec = [m.evaluate(p) for p in pts]
-        vec, comb = _reduce_against(vec, {-1: 1}, rows)
+        # expo's parent in the table divides it, so it is standard and already built
+        vec, comb = _reduce_against(table.vector(expo), {-1: 1}, rows)
         if any(vec):
             pivot = next(i for i, x in enumerate(vec) if x)
             comb[len(standard)] = comb.pop(-1)
@@ -174,9 +242,9 @@ def _eliminate(
             generators.append(Polynomial(n, terms))
             leads.append(m)
 
-    if len(standard) != len(pts):
+    if len(standard) != len(v):
         raise RuntimeError(
-            f"engine error: found {len(standard)} standard monomials for {len(pts)} points"
+            f"engine error: found {len(standard)} standard monomials for {len(v)} points"
         )
     return standard, rows, generators
 
@@ -229,17 +297,18 @@ def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder)
     """Certify that a list of polynomials is a Groebner basis of I(V).
 
     The test is the standard counting argument: every element must vanish
-    on V, and exactly |V| monomials must be divisible by no leading
-    monomial.  Those form a down-set, grown from 1 and counted only up to
-    |V| + 1, so an infinite or too large normal set stops the count early.
-    Accepts reduced and non-reduced bases alike.
+    on V (checked in integers, after clearing denominators), and exactly
+    |V| monomials must be divisible by no leading monomial.  Those form a
+    down-set, grown from 1 and counted only up to |V| + 1, so an infinite
+    or too large normal set stops the count early.  Accepts reduced and
+    non-reduced bases alike.
     """
     n = v.n
     for g in basis:
         if g.n != n:
             raise ValueError(f"dimension mismatch: {g.n} vs {n}")
-        if any(g.evaluate(p) != 0 for p in v):
-            return False
+    if _first_nonzero(basis, v) is not None:
+        return False
     leads = [leading_monomial(g, order).exponents for g in basis if not g.is_zero()]
 
     def free(u: Point) -> bool:

@@ -8,6 +8,7 @@ in lowest terms; nothing in this module ever rounds.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -319,13 +320,22 @@ def field_polynomial(i: int, q: int, n: int) -> Polynomial:
     return f
 
 
+_INDICATOR_CACHE_CAP = 64
+
+
 def indicator_polynomial(q: int) -> Polynomial:
     """The unique univariate polynomial of degree q-1 with p(0)=0 and p(i)=1
     for 1 <= i <= q-1.
 
     For q=2 this is x itself; composing with it collapses {1,...,q-1}
-    onto 1 while fixing 0.
+    onto 1 while fixing 0.  Built once per q (``_indicator``); the result
+    is shared, like every Polynomial it is immutable by convention.
     """
+    return _indicator(q)
+
+
+@functools.lru_cache(maxsize=_INDICATOR_CACHE_CAP)
+def _indicator(q: int) -> Polynomial:
     if q < 2:
         raise ValueError("alphabet size q must be at least 2")
     x = Polynomial.variable(1, 1)

@@ -29,14 +29,15 @@ class PointSet:
     render identically no matter how they were assembled.
     """
 
-    __slots__ = ("n", "q", "points")
+    __slots__ = ("n", "q", "points", "_members")
 
     def __init__(self, n: int, q: int, points: Iterable[Sequence[int]] = ()) -> None:
         if n < 1:
             raise ValueError("dimension n must be at least 1")
         if q < 2:
             raise ValueError("alphabet size q must be at least 2")
-        cleaned = sorted({tuple(int(c) for c in p) for p in points})
+        members = frozenset(tuple(int(c) for c in p) for p in points)
+        cleaned = sorted(members)
         for p in cleaned:
             if len(p) != n:
                 raise ValueError(f"point {p} has length {len(p)}, expected {n}")
@@ -46,6 +47,7 @@ class PointSet:
         self.n = n
         self.q = q
         self.points = tuple(cleaned)
+        self._members = members
 
     def __len__(self) -> int:
         return len(self.points)
@@ -54,7 +56,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p: object) -> bool:
-        return p in set(self.points)
+        return p in self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):

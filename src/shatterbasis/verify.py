@@ -28,7 +28,13 @@ from .closedform import (
     sm_uniform_binary,
 )
 from .compress import alon_compress
-from .ideals import StandardMonomialSet, certify_groebner, non_shatter_certificate, vanishing_basis
+from .ideals import (
+    StandardMonomialSet,
+    _first_nonzero,
+    certify_groebner,
+    non_shatter_certificate,
+    vanishing_basis,
+)
 from .polyring import Monomial, TermOrder, leading_monomial
 from .tuples import (
     PointSet,
@@ -438,13 +444,13 @@ def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
             witness[c - 1] = value
         cert = non_shatter_certificate(v, cs, witness)
         expected_lead = Monomial(tuple(q - 1 if i in cs else 0 for i in range(1, n + 1)))
-        bad_point = next((p for p in v if cert.evaluate(p) != 0), None)
-        if bad_point is not None:
+        hit = _first_nonzero([cert], v)
+        if hit is not None:
             fails.append(
                 {
                     "params": {"points": [list(p) for p in v], "coords": list(cs), "witness": witness},
                     "expected": "certificate vanishes on V",
-                    "actual": f"nonzero at {list(bad_point)}",
+                    "actual": f"nonzero at {list(hit[1])}",
                 }
             )
         for order in _BOTH_ORDERS:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import box, deglex_key, lex_key, reference_sm
+from shatterbasis.closedform import gb_blowup
 from shatterbasis.ideals import (
+    _first_nonzero,
     certify_groebner,
     interpolate,
     non_shatter_certificate,
@@ -23,8 +25,16 @@ from shatterbasis.polyring import (
     leading_coefficient,
     leading_monomial,
     normal_form,
+    parse_polynomial,
 )
-from shatterbasis.tuples import EmptyPointSetError, PointSet, complete_uniform, hamming_sphere
+from shatterbasis.tuples import (
+    EmptyPointSetError,
+    PointSet,
+    SetFamily,
+    blow_up,
+    complete_uniform,
+    hamming_sphere,
+)
 
 DEGLEX = TermOrder.DEGLEX
 LEX = TermOrder.LEX
@@ -238,6 +248,107 @@ def box_count_certify(v, basis, order):
             return False
     free = [e for e in box(n, q) if not any(lm.divides(Monomial(e)) for lm in leads)]
     return len(free) == len(v)
+
+
+def evaluate_first_nonzero(polys, v):
+    """The reference route: Fraction evaluation, point by point."""
+    for k, g in enumerate(polys):
+        for p in v:
+            if g.evaluate(p) != 0:
+                return k, p
+    return None
+
+
+def seeded_bases(seed):
+    """(V, basis) pairs whose bases vanish on V: reduced engine bases,
+    field polynomials and gb_blowup outputs."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n, q = rng.randint(1, 3), rng.randint(2, 4)
+        grid = box(n, q)
+        v = PointSet(n, q, rng.sample(grid, rng.randint(1, min(len(grid), 12))))
+        gb, _ = vanishing_basis(v, rng.choice([DEGLEX, LEX]))
+        yield v, list(gb.generators)
+        yield v, [field_polynomial(i, q, n) for i in range(1, n + 1)]
+    for n, q in ((2, 3), (3, 2), (3, 3), (2, 4)):
+        subsets = [set(c) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+        for _ in range(6):
+            family = SetFamily(n, rng.sample(subsets, rng.randint(1, len(subsets))))
+            yield blow_up(family, q), list(gb_blowup(family, q, rng.choice([DEGLEX, LEX])))
+
+
+class TestIntegerEvaluation:
+    """``_first_nonzero`` against ``Polynomial.evaluate``: the same verdict and
+    the same first polynomial and point."""
+
+    def test_seeded_bases_vanish(self):
+        for v, basis in seeded_bases(11):
+            assert _first_nonzero(basis, v) is None
+            assert evaluate_first_nonzero(basis, v) is None
+
+    def test_perturbed_generators_fail_at_the_reference_point(self):
+        rng = random.Random(12)
+        for v, basis in seeded_bases(12):
+            k = rng.randrange(len(basis))
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3, 5]))
+            # a term nonzero at a point of V, so adding it cannot keep g vanishing
+            p = rng.choice(v.points)
+            term = Polynomial.from_monomial(
+                Monomial(tuple(rng.randint(0, v.q) if x else 0 for x in p)), c
+            )
+            for spoiled in (basis[k] + c, basis[k] + term):
+                perturbed = basis[:k] + [spoiled] + basis[k + 1 :]
+                got = _first_nonzero(perturbed, v)
+                assert got is not None
+                assert got == evaluate_first_nonzero(perturbed, v)
+                assert got[0] == k
+
+    def test_mixed_denominators(self):
+        v = PointSet(2, 4, [(1, 0), (1, 2), (2, 3)])
+        # zero nowhere on V; its numerators alone (x1 - 1) vanish at two points
+        g = parse_polynomial("1/2*x1 - 1/3", 2)
+        assert _first_nonzero([g], v) == evaluate_first_nonzero([g], v) == (0, (1, 0))
+        # on V zero at (2, 3) only; x1 - x2 (numerators alone) is zero nowhere
+        h = parse_polynomial("1/2*x1 - 1/3*x2", 2)
+        assert evaluate_first_nonzero([h], PointSet(2, 4, [(2, 3)])) is None
+        assert _first_nonzero([h], PointSet(2, 4, [(2, 3)])) is None
+        assert _first_nonzero([h], v) == evaluate_first_nonzero([h], v) == (0, (1, 0))
+        w = PointSet(2, 4, [(0, 0), (2, 3), (3, 3)])
+        assert _first_nonzero([h], w) == evaluate_first_nonzero([h], w) == (0, (3, 3))
+
+    def test_zero_polynomial_in_the_list(self):
+        v = PointSet(2, 3, [(0, 1), (2, 2)])
+        zero = Polynomial.zero(2)
+        assert _first_nonzero([zero], v) is None
+        assert _first_nonzero([zero, zero, Polynomial.variable(1, 2)], v) == (2, (2, 2))
+
+    def test_nonzero_only_at_the_last_point(self):
+        for v, basis in seeded_bases(13):
+            last = v.points[-1]
+            spike = interpolate(v, {p: int(p == last) for p in v})
+            polys = basis + [spike]
+            assert _first_nonzero(polys, v) == evaluate_first_nonzero(polys, v) == (len(basis), last)
+
+    def test_large_exponent(self):
+        v = PointSet(2, 3, [(0, 2), (1, 1), (2, 2)])
+        g = Polynomial(2, {Monomial((0, 4000)): 1, Monomial((0, 3999)): -2})  # x2^3999 (x2 - 2)
+        assert _first_nonzero([g], v) == evaluate_first_nonzero([g], v) == (0, (1, 1))
+
+    def test_no_fraction_evaluation(self, monkeypatch):
+        family = SetFamily(3, [set(), {1}, {2, 3}, {1, 2, 3}])
+        v = blow_up(family, 3)
+        basis = list(gb_blowup(family, 3, DEGLEX))
+        spoiled = [basis[0] + 1] + basis[1:]
+
+        def forbidden(*args):
+            raise AssertionError("per-point evaluation called")
+
+        monkeypatch.setattr(Polynomial, "evaluate", forbidden)
+        monkeypatch.setattr(Monomial, "evaluate", forbidden)
+        assert certify_groebner(v, basis, DEGLEX)
+        assert not certify_groebner(v, spoiled, DEGLEX)
+        _, sm = vanishing_basis(v, DEGLEX)
+        assert len(sm) == len(v)
 
 
 class TestNonShatterCertificate:

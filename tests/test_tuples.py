@@ -46,6 +46,20 @@ class TestPointSet:
         assert len(v) == 2
         assert (1, 0) in v
 
+    def test_membership_and_equality(self):
+        rng = random.Random(5)
+        grid = list(itertools.product(range(3), repeat=3))
+        for _ in range(60):
+            pts = rng.sample(grid, rng.randint(0, 12))
+            v = PointSet(3, 3, (p for p in pts + pts[:2]))  # a one-shot iterable
+            assert [p for p in grid if p in v] == sorted(pts)
+            assert (0, 0) not in v and "x" not in v and None not in v
+            w = PointSet(3, 3, [list(p) for p in reversed(pts)])
+            assert v == w and hash(v) == hash(w)
+            assert v != PointSet(3, 4, pts)
+            if (2, 2, 2) not in pts:
+                assert v != PointSet(3, 3, pts + [(2, 2, 2)])
+
     def test_empty_is_allowed_as_a_container(self):
         # emptiness errors live on the operations, not the container
         assert len(PointSet(2, 3, [])) == 0

@@ -9,7 +9,7 @@ import pytest
 import shatterbasis.compress as compress
 import shatterbasis.verify as verify
 from shatterbasis.closedform import BoundReport, sm_uniform_binary
-from shatterbasis.ideals import StandardMonomialSet, vanishing_basis
+from shatterbasis.ideals import StandardMonomialSet, interpolate, vanishing_basis
 from shatterbasis.polyring import Monomial, TermOrder
 from shatterbasis.tuples import complete_uniform
 from shatterbasis.verify import (
@@ -176,6 +176,29 @@ class TestSuiteOutcomes:
         )
         assert report.verdict == "pass"
         assert report.checked == 50
+
+    def test_nonzero_certificate_record(self, monkeypatch):
+        real = verify.non_shatter_certificate
+
+        def spoiled(v, coords, witness):
+            # the real certificate plus a polynomial nonzero at V's middle point only
+            middle = v.points[len(v) // 2]
+            return real(v, coords, witness) + interpolate(v, {p: int(p == middle) for p in v})
+
+        monkeypatch.setattr(verify, "non_shatter_certificate", spoiled)
+        report = run_suite(
+            "shatter-certificates", n=3, q=3, samples=0, cert_samples=6, max_size=8, seed=9
+        )
+        nonzero = [f for f in report.failures if f["expected"] == "certificate vanishes on V"]
+        assert len(nonzero) == 6
+        for failure in nonzero:
+            points = failure["params"]["points"]
+            assert failure["actual"] == f"nonzero at {points[len(points) // 2]}"
+        # the same records, byte for byte, as the Fraction scan (cert.evaluate) produced
+        canonical = json.dumps(report.canonical(), sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == (
+            "cc3c88ac19c3fdeab341f7cc551f94baec6b631555eea92bbde0c00df6bcead4"
+        )
 
     def test_closed_form_mismatch_record(self, monkeypatch):
         def drop_last(n, d, order=TermOrder.DEGLEX):
