@@ -9,6 +9,7 @@ that turn them into shattering bounds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
@@ -184,13 +185,14 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
 
     lifted: dict[Polynomial, Polynomial] = {}
     for u in down_set(n, inside, top=1):
-        xj = Polynomial.from_monomial(Monomial(u))
         gb, _ = _binary_basis(subfamily_through(family, support(u)).to_point_set(), order)
         for g in gb:
             bar = lifted.get(g)
             if bar is None:
                 bar = lifted[g] = binary_lift(g, q)
-            out.append(xj * bar)
+            # x_J * bar: shift every exponent tuple by u
+            shifted = {Monomial(tuple(map(operator.add, m.exponents, u))): c for m, c in bar.items()}
+            out.append(Polynomial(n, shifted))
     out += [Polynomial.from_monomial(Monomial(u)) for u in outside]
     return out
 

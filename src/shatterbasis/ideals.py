@@ -11,13 +11,16 @@ so far is standard; a dependent candidate yields a monic generator whose
 tail is supported on the standard monomials below it.  The generators
 collected this way form the reduced Groebner basis of I(V).
 
-All linear algebra is exact.  Rows are kept as primitive integer vectors
-(rescaling a row never changes its span), with an integer bookkeeping
-vector expressing each row in terms of the original evaluation vectors;
-the rational generator coefficients come from one exact division at the
-end.  ``interpolate`` shares this kernel: it reduces the integer-scaled
-value vector against the same rows, and its coefficients come from the
-same single exact division.
+All linear algebra is exact.  A row is one primitive integer list: a
+vector on V followed by the integer weights that combine the evaluation
+vectors of the standard monomials found so far into that vector.  After
+each elimination step one gcd over the whole list strips its content; a
+division by a positive integer changes neither the row's span nor its
+signs, so vector and weights stay in step.  The rational generator
+coefficients come from one exact division at the end.  ``interpolate``
+shares this kernel: it reduces the integer-scaled value vector, with a
+tail of its own, against the same rows, and its coefficients come from
+the same single exact division.
 
 Evaluation on V is integer-only as well.  An evaluation table builds each
 monomial's vector on V once, as a parent's vector times a power of one
@@ -156,95 +159,80 @@ def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point
     return None
 
 
-def _strip_content(vec: list[int], comb: dict[int, int]) -> tuple[list[int], dict[int, int]]:
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
-        if g == 1:
-            return vec, comb
-    for c in comb.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return vec, comb
-    if g > 1:
-        vec = [x // g for x in vec]
-        comb = {k: c // g for k, c in comb.items()}
-    return vec, comb
+def _divides(a: Point, b: Point) -> bool:
+    return all(map(operator.le, a, b))
 
 
-def _reduce_against(
-    vec: list[int],
-    comb: dict[int, int],
-    rows: list[tuple[int, list[int], dict[int, int]]],
-) -> tuple[list[int], dict[int, int]]:
+def _reduce_against(row: list[int], rows: list[tuple[int, list[int]]]) -> list[int]:
     # Every row is zero at the pivots of all rows inserted before it, so a
     # single pass in insertion order clears every pivot position for good.
-    for pivot, rvec, rcomb in rows:
-        b = vec[pivot]
+    # A candidate is at least as long as every row, so its entries past a
+    # row's end are only scaled.
+    for pivot, r in rows:
+        b = row[pivot]
         if not b:
             continue
-        a = rvec[pivot]
-        vec = [a * x - b * y for x, y in zip(vec, rvec)]
-        merged = {k: a * c for k, c in comb.items()}
-        for k, c in rcomb.items():
-            cur = merged.get(k, 0) - b * c
-            if cur:
-                merged[k] = cur
-            else:
-                merged.pop(k, None)
-        vec, comb = _strip_content(vec, merged)
-    return vec, comb
+        a = r[pivot]
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
+        row = [a * x - b * y for x, y in zip(row, r)] + [a * x for x in row[len(r) :]]
+        g = math.gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+    return row
 
 
 def _eliminate(
     v: PointSet, order: TermOrder
-) -> tuple[list[Monomial], list[tuple[int, list[int], dict[int, int]]], list[Polynomial]]:
+) -> tuple[list[Monomial], list[tuple[int, list[int]]], list[Polynomial]]:
     """The elimination kernel for a nonempty V: the standard monomials,
     their rows and the reduced Groebner basis generators.
 
-    Row k is (pivot, vector, combination): the combination maps indices of
-    standard monomials to the integer weights that sum their evaluation
-    vectors to the row's vector, and the row is zero at the pivots of the
-    rows before it.
+    Row k is (pivot, row), and row is one primitive integer list: its first
+    |V| entries are a vector on V, and entry |V| + j is the weight of the
+    j-th standard monomial (j <= k) in the combination of evaluation
+    vectors that sums to that vector.  The row is zero at the pivots of
+    the rows before it.  A candidate enters as its evaluation vector, k
+    zeros and a weight of 1 for itself; if it reduces to a zero vector,
+    its tail, divided by its own weight, is the generator's tail.
     """
-    n = v.n
+    n, size = v.n, len(v)
 
     # (key, exponents, last): a standard m pushes m*x_i only for i >= last (m's last nonzero
-    # position), so each candidate has one parent; a lead divides it if its parent is not standard.
+    # position), so each candidate is pushed once; one that a lead divides is skipped.
     heap: list[tuple] = [(order.key(Monomial.unit(n)), (0,) * n, 0)]
 
     table = _EvaluationTable(v)
     standard: list[Monomial] = []
-    rows: list[tuple[int, list[int], dict[int, int]]] = []
+    rows: list[tuple[int, list[int]]] = []
     generators: list[Polynomial] = []
-    leads: list[Monomial] = []
+    leads: list[Point] = []
 
     while heap:
         _, expo, last = heapq.heappop(heap)
-        m = Monomial(expo)
-        if any(lead.divides(m) for lead in leads):
+        if any(_divides(lead, expo) for lead in leads):
             continue
+        m = Monomial(expo)
         # expo's parent in the table divides it, so it is standard and already built
-        vec, comb = _reduce_against(table.vector(expo), {-1: 1}, rows)
-        if any(vec):
-            pivot = next(i for i, x in enumerate(vec) if x)
-            comb[len(standard)] = comb.pop(-1)
-            rows.append((pivot, vec, comb))
+        row = _reduce_against(table.vector(expo) + [0] * len(standard) + [1], rows)
+        pivot = next((i for i in range(size) if row[i]), None)
+        if pivot is not None:
+            rows.append((pivot, row))
             standard.append(m)
             for i in range(last, n):
                 child = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
                 heapq.heappush(heap, (order.key(Monomial(child)), child, i))
         else:
-            alpha = comb.pop(-1)
-            terms: dict[Monomial, Fraction] = {m: Fraction(1)}
-            for k, c in comb.items():
-                terms[standard[k]] = Fraction(c, alpha)
+            alpha = row[-1]
+            terms = {s: Fraction(c, alpha) for s, c in zip(standard, row[size:]) if c}
+            terms[m] = Fraction(1)
             generators.append(Polynomial(n, terms))
-            leads.append(m)
+            leads.append(expo)
 
-    if len(standard) != len(v):
+    if len(standard) != size:
         raise RuntimeError(
-            f"engine error: found {len(standard)} standard monomials for {len(v)} points"
+            f"engine error: found {len(standard)} standard monomials for {size} points"
         )
     return standard, rows, generators
 
@@ -287,10 +275,11 @@ def interpolate(
     target = [Fraction(values[p]) for p in v.points]
     scale = math.lcm(*(y.denominator for y in target))
     # The |V| rows have |V| distinct pivots, so the reduction clears the
-    # scaled values entirely: comb[-1] * scale * y + sum_k comb[k] * eval(m_k) = 0.
-    _, comb = _reduce_against([int(y * scale) for y in target], {-1: 1}, rows)
-    alpha = comb.pop(-1) * scale
-    return Polynomial(v.n, {standard[k]: Fraction(-c, alpha) for k, c in comb.items()})
+    # scaled values entirely: w * scale * y + sum_k tail[k] * eval(m_k) = 0,
+    # with w the weight in the row's last entry.
+    row = _reduce_against([int(y * scale) for y in target] + [0] * len(v) + [1], rows)
+    alpha = row[-1] * scale
+    return Polynomial(v.n, {s: Fraction(-c, alpha) for s, c in zip(standard, row[len(v) :]) if c})
 
 
 def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder) -> bool:
@@ -309,10 +298,15 @@ def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder)
             raise ValueError(f"dimension mismatch: {g.n} vs {n}")
     if _first_nonzero(basis, v) is not None:
         return False
-    leads = [leading_monomial(g, order).exponents for g in basis if not g.is_zero()]
+    # Only the minimal leads matter: sorted by degree, a lead comes after
+    # every lead that divides it, and is dropped when one of them does.
+    leads: list[Point] = []
+    for lead in sorted({leading_monomial(g, order).exponents for g in basis if g}, key=sum):
+        if not any(_divides(m, lead) for m in leads):
+            leads.append(lead)
 
     def free(u: Point) -> bool:
-        return not any(all(a <= b for a, b in zip(lead, u)) for lead in leads)
+        return not any(_divides(lead, u) for lead in leads)
 
     free_count = sum(1 for _ in itertools.islice(down_set(n, free), len(v) + 1))
     return free_count == len(v)

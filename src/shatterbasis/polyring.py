@@ -141,7 +141,9 @@ class Polynomial:
         for mono, coeff in items:
             if mono.n != n:
                 raise ValueError(f"monomial dimension {mono.n} != {n}")
-            c = store.get(mono, Fraction(0)) + Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            if mono in store:
+                c += store[mono]
             if c:
                 store[mono] = c
             else:
@@ -348,41 +350,40 @@ def _indicator(q: int) -> Polynomial:
     return Polynomial.constant(1, 1) - prod * Fraction(sign, fact)
 
 
+@functools.lru_cache(maxsize=_INDICATOR_CACHE_CAP)
+def _indicator_power(q: int, e: int) -> tuple[Fraction, ...]:
+    """The coefficients of p^e, p the indicator of q, by increasing degree."""
+    power = _indicator(q) ** e
+    return tuple(power.coefficient(Monomial((d,))) for d in range(power.degree() + 1))
+
+
 def binary_lift(g: Polynomial, q: int) -> Polynomial:
     """Substitute the 0/1 indicator for every variable of g.
 
     If g vanishes on a set of 0/1 points, the lift vanishes on every grid
     point whose support matches one of them, and its leading monomial is
     the (q-1)-th coordinatewise power of lm(g) under any admissible order.
+    Each term c * prod x_i^e_i expands on exponent tuples, one variable at
+    a time, with the coefficients of p^e_i built once per (q, e_i).
     """
-    p = indicator_polynomial(q)
+    if q < 2:
+        raise ValueError("alphabet size q must be at least 2")
     n = g.n
-
-    def embed(i: int) -> Polynomial:
-        # p written in x_i inside dimension n
-        terms = {}
-        for um, c in p.items():
-            e = um.exponents[0]
-            terms[Monomial(tuple(e if k == i - 1 else 0 for k in range(n)))] = c
-        return Polynomial(n, terms)
-
-    # powers[i][e] = p(x_i)^e, built on demand
-    powers: dict[int, list[Polynomial]] = {}
-
-    def embedded_power(i: int, e: int) -> Polynomial:
-        cache = powers.setdefault(i, [Polynomial.constant(1, n), embed(i)])
-        while len(cache) <= e:
-            cache.append(cache[-1] * cache[1])
-        return cache[e]
-
-    out = Polynomial.zero(n)
+    out: dict[tuple[int, ...], Fraction] = {}
     for m, c in g.items():
-        term = Polynomial.constant(c, n)
-        for i, e in enumerate(m.exponents, start=1):
+        terms = {(0,) * n: c}
+        for i, e in enumerate(m.exponents):
             if e:
-                term = term * embedded_power(i, e)
-        out = out + term
-    return out
+                power = _indicator_power(q, e)
+                terms = {
+                    u[:i] + (d,) + u[i + 1 :]: a * b
+                    for u, a in terms.items()
+                    for d, b in enumerate(power)
+                    if b
+                }
+        for u, a in terms.items():
+            out[u] = out.get(u, 0) + a
+    return Polynomial(n, {Monomial(u): a for u, a in out.items() if a})
 
 
 def render_monomial(m: Monomial) -> str:

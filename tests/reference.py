@@ -64,6 +64,61 @@ def reference_sm(points, q, key):
     return set(kept)
 
 
+def reference_basis(points, key):
+    """The reduced Groebner basis of I(points) under the order of ``key``,
+    as a list of (lead exponents, {exponents: Fraction}) sorted by lead.
+
+    The standard monomials come from ``reference_sm``.  The leads are the
+    minimal monomials outside them: every one-lower neighbour is standard.
+    The generator of a lead m is m minus the unique combination of the
+    standard monomials that agrees with m on every point, found by solving
+    one dense square system over the rationals (Gauss-Jordan, with every
+    lead's evaluation vector as a right-hand side).
+    """
+    points = sorted(set(points))
+    n = len(points[0])
+    q = max(max(p) for p in points) + 1
+    sm = sorted(reference_sm(points, q, key), key=key)
+    standard = set(sm)
+
+    def lower(e, i):
+        return e[:i] + (e[i] - 1,) + e[i + 1 :]
+
+    leads = sorted(
+        (
+            e
+            for e in product(range(q + 1), repeat=n)
+            if e not in standard
+            and all(lower(e, i) in standard for i in range(n) if e[i])
+        ),
+        key=key,
+    )
+    # rows: one per point, [eval(s) for s in sm] | [eval(m) for m in leads]
+    matrix = [
+        [Fraction(eval_monomial(e, p)) for e in sm + leads] for p in points
+    ]
+    size = len(sm)
+    for col in range(size):
+        # columns left of col are already zero outside their pivot rows
+        pivot = next(r for r in range(col, size) if matrix[r][col])
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        row = matrix[col]
+        head = row[col]
+        row[col:] = [a / head for a in row[col:]]
+        for r, other in enumerate(matrix):
+            factor = other[col]
+            if r != col and factor:
+                other[col:] = [a - factor * b if b else a for a, b in zip(other[col:], row[col:])]
+    basis = []
+    for k, lead in enumerate(leads):
+        terms = {lead: Fraction(1)}
+        for row, s in zip(matrix, sm):
+            if row[size + k]:
+                terms[s] = -row[size + k]
+        basis.append((lead, terms))
+    return basis
+
+
 def reference_shatters(points, q, coords):
     coords = sorted(coords)
     seen = {tuple(p[i - 1] for i in coords) for p in points}

@@ -327,8 +327,8 @@ class TestExitCodes:
 
     def test_engine_invariant_exits_one(self, capsys, tmp_path, monkeypatch):
         # every candidate reduces to zero, so the engine finds no standard monomial
-        def zero(vec, comb, rows):
-            return [0] * len(vec), comb
+        def zero(row, rows):
+            return [0] * (len(row) - 1) + [1]
 
         monkeypatch.setattr("shatterbasis.ideals._reduce_against", zero)
         path = tmp_path / "v.txt"

@@ -1,6 +1,7 @@
 """The vanishing-ideal engine against an independent dense-elimination oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import box, deglex_key, lex_key, reference_sm
+from reference import box, deglex_key, lex_key, reference_basis, reference_sm
 from shatterbasis.closedform import gb_blowup
 from shatterbasis.ideals import (
+    _eliminate,
     _first_nonzero,
     certify_groebner,
     interpolate,
@@ -180,6 +182,61 @@ class TestInterpolate:
         assert all(f.evaluate(p) == values[p] for p in v)
         _, sm = vanishing_basis(v, DEGLEX)
         assert set(f.monomials()) <= sm.as_set()
+
+
+def engine_inputs(seed, count):
+    """Seeded subsets of {0,1,2}^5 with 20-110 points, like the benchmark's
+    engine workload, the first one at 20 points and the last at 110."""
+    rng = random.Random(seed)
+    grid = box(5, 3)
+    sizes = [20] + [rng.randint(21, 109) for _ in range(count - 2)] + [110]
+    return [PointSet(5, 3, rng.sample(grid, size)) for size in sizes]
+
+
+def as_terms(g):
+    return {m.exponents: c for m, c in g.items()}
+
+
+class TestEliminationRows:
+    """The integer rows of ``_eliminate``: vector on V, then combination weights."""
+
+    def test_bases_match_the_reference(self):
+        # the reference solves dense Fraction systems, so only a few inputs
+        inputs = engine_inputs(41, 3)
+        cases = [(inputs[0], DEGLEX), (inputs[0], LEX), (inputs[1], LEX), (inputs[2], DEGLEX)]
+        for v, order in cases:
+            gb, _ = vanishing_basis(v, order)
+            expected = reference_basis(v.points, KEYS[order])
+            assert [lm.exponents for lm in gb.leading_monomials()] == [e for e, _ in expected]
+            assert [as_terms(g) for g in gb] == [terms for _, terms in expected]
+
+    def test_row_invariants(self):
+        for v in engine_inputs(42, 6):
+            for order in (DEGLEX, LEX):
+                standard, rows, _ = _eliminate(v, order)
+                size = len(v)
+                vectors = [[m.evaluate(p) for p in v.points] for m in standard]
+                assert len(rows) == size
+                for k, (pivot, row) in enumerate(rows):
+                    assert len(row) == size + k + 1
+                    assert math.gcd(*row) == 1
+                    assert row[pivot] and not any(row[:pivot])
+                    assert all(row[earlier] == 0 for earlier, _ in rows[:k])
+                    assert row[-1] != 0
+                    rebuilt = [
+                        sum(w * vec[i] for w, vec in zip(row[size:], vectors)) for i in range(size)
+                    ]
+                    assert rebuilt == row[:size]
+
+    def test_interpolate_against_evaluate(self):
+        rng = random.Random(43)
+        for v in engine_inputs(43, 6):
+            values = {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in v.points}
+            for order in (DEGLEX, LEX):
+                f = interpolate(v, values, order)
+                assert all(f.evaluate(p) == values[p] for p in v.points)
+                _, sm = vanishing_basis(v, order)
+                assert set(f.monomials()) <= sm.as_set()
 
 
 class TestCertifyGroebner:

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, term orders, lifts and text round trips."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shatterbasis.polyring as polyring
+from shatterbasis.ideals import vanishing_basis
 from shatterbasis.polyring import (
     Monomial,
     Polynomial,
@@ -22,6 +24,7 @@ from shatterbasis.polyring import (
     render_monomial,
     render_polynomial,
 )
+from shatterbasis.tuples import PointSet
 
 DEGLEX = TermOrder.DEGLEX
 LEX = TermOrder.LEX
@@ -123,6 +126,16 @@ class TestPolynomialArithmetic:
     def test_construction_drops_zero_coefficients(self):
         f = poly(2, {(1, 0): 1, (0, 1): 0})
         assert f.monomials() == [mono(1, 0)]
+
+    def test_construction_sums_repeated_monomials(self):
+        half = Fraction(1, 2)
+        pairs = [(mono(1, 0), half), (mono(0, 1), 2), (mono(1, 0), 3), (mono(0, 1), -2)]
+        pairs.append((mono(0, 0), True))
+        f = Polynomial(2, pairs)
+        assert dict(f.items()) == {mono(1, 0): Fraction(7, 2), mono(0, 0): Fraction(1)}
+        assert all(type(c) is Fraction for _, c in f.items())
+        with pytest.raises(ValueError):
+            Polynomial(2, [(mono(1, 0), 1), (mono(1, 0, 0), 1)])
 
     def test_add_sub_mul(self):
         x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
@@ -298,6 +311,72 @@ class TestBinaryLift:
             assert leading_monomial(lifted, order) == leading_monomial(g, order).power(
                 q - 1
             )
+
+
+def embedding_binary_lift(g, q):
+    """``binary_lift`` as it was first written: the indicator re-embedded
+    in x_i and its powers rebuilt with ``Polynomial`` products, per call."""
+    p = indicator_polynomial(q)
+    n = g.n
+
+    def embed(i):
+        terms = {}
+        for um, c in p.items():
+            e = um.exponents[0]
+            terms[Monomial(tuple(e if k == i - 1 else 0 for k in range(n)))] = c
+        return Polynomial(n, terms)
+
+    powers = {}
+
+    def embedded_power(i, e):
+        cache = powers.setdefault(i, [Polynomial.constant(1, n), embed(i)])
+        while len(cache) <= e:
+            cache.append(cache[-1] * cache[1])
+        return cache[e]
+
+    out = Polynomial.zero(n)
+    for m, c in g.items():
+        term = Polynomial.constant(c, n)
+        for i, e in enumerate(m.exponents, start=1):
+            if e:
+                term = term * embedded_power(i, e)
+        out = out + term
+    return out
+
+
+class TestBinaryLiftAgainstEmbedding:
+    def test_seeded_binary_bases(self):
+        rng = random.Random(31)
+        seen = 0
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            grid = list(itertools.product(range(2), repeat=n))
+            v = PointSet(n, 2, rng.sample(grid, rng.randint(1, len(grid))))
+            gb, _ = vanishing_basis(v, rng.choice([DEGLEX, LEX]))
+            for g in gb:
+                for q in range(2, 6):
+                    assert binary_lift(g, q) == embedding_binary_lift(g, q)
+                    seen += 1
+        assert seen > 300
+
+    def test_higher_powers_and_rational_coefficients(self):
+        g = poly(
+            3, {(3, 0, 2): Fraction(-2, 3), (0, 4, 0): 5, (1, 1, 1): Fraction(7, 2), (0, 0, 0): 1}
+        )
+        for q in range(2, 6):
+            assert binary_lift(g, q) == embedding_binary_lift(g, q)
+
+    def test_power_cache_is_bounded(self):
+        polyring._indicator_power.cache_clear()
+        try:
+            for q in range(2, 12):
+                for e in range(8):
+                    binary_lift(poly(1, {(e,): 1}), q)
+            info = polyring._indicator_power.cache_info()
+            assert info.maxsize == polyring._INDICATOR_CACHE_CAP
+            assert info.currsize == polyring._INDICATOR_CACHE_CAP
+        finally:
+            polyring._indicator_power.cache_clear()
 
 
 class TestRenderParse:
