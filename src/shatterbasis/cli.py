@@ -159,26 +159,24 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_sm(args: argparse.Namespace) -> int:
     v = parse_tuples(_read_input(args.infile))
     order = _order(args)
-    _, sm = vanishing_basis(v, order)
-    monomials = sorted(sm, key=order.key)
-    log.info("%d standard monomials for %d tuples", len(monomials), len(v))
+    _, sm = vanishing_basis(v, order)  # ascending in the order
+    log.info("%d standard monomials for %d tuples", len(sm), len(v))
     if args.format == "json":
-        _emit_json([list(m.exponents) for m in monomials])
+        _emit_json([list(m.exponents) for m in sm])
     else:
-        _emit("\n".join(render_monomial(m) for m in monomials))
+        _emit("\n".join(render_monomial(m) for m in sm))
     return 0
 
 
 def _cmd_gb(args: argparse.Namespace) -> int:
     v = parse_tuples(_read_input(args.infile))
     order = _order(args)
-    basis, _ = vanishing_basis(v, order)
-    gens = sorted(basis.generators, key=lambda g: order.key(leading_monomial(g, order)))
-    log.info("reduced basis with %d generators", len(gens))
+    basis, _ = vanishing_basis(v, order)  # by increasing leading monomial
+    log.info("reduced basis with %d generators", len(basis))
     if args.format == "json":
-        _emit_json([_generator_payload(g, order) for g in gens])
+        _emit_json([_generator_payload(g, order) for g in basis])
     else:
-        _emit("\n".join(render_polynomial(g, order) for g in gens))
+        _emit("\n".join(render_polynomial(g, order) for g in basis))
     return 0
 
 

@@ -9,6 +9,7 @@ that turn them into shattering bounds.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from math import comb
@@ -87,7 +88,8 @@ def sm_hamming_sphere(
     * listing the non-interior positions in increasing order, the i-th
       smallest member of T must sit at position >= 2i.
 
-    The qualifying vectors form a down-set, walked from the zero vector.
+    The qualifying vectors form a down-set, walked from the zero vector in
+    increasing order.
     The size always comes out as C(n, d) * (q-1)^d.
     """
     if not 0 <= d <= n:
@@ -104,25 +106,18 @@ def sm_hamming_sphere(
         ranks = [r for r, pos in enumerate(rest, start=1) if pos in parts.top]
         return all(r >= 2 * i for i, r in enumerate(ranks, start=1))
 
-    monos = map(Monomial, down_set(n, qualifies, top=q - 1))
-    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
+    monos = down_set(n, qualifies, top=q - 1, key=order._key)
+    return StandardMonomialSet(order, tuple(map(Monomial, monos)))
 
 
 # Blow-up subproblems are binary vanishing ideals over the full ground set;
 # sweeps over many families hit the same subfamily repeatedly, so memoize.
-# Past the cap the oldest entry goes first (dicts keep insertion order).
 _BINARY_CACHE_CAP = 4096
-_binary_cache: dict[tuple[PointSet, TermOrder], tuple[GroebnerBasis, StandardMonomialSet]] = {}
 
 
+@functools.lru_cache(maxsize=_BINARY_CACHE_CAP)
 def _binary_basis(v: PointSet, order: TermOrder) -> tuple[GroebnerBasis, StandardMonomialSet]:
-    key = (v, order)
-    hit = _binary_cache.get(key)
-    if hit is None:
-        if len(_binary_cache) >= _BINARY_CACHE_CAP:
-            del _binary_cache[next(iter(_binary_cache))]
-        hit = _binary_cache[key] = vanishing_basis(v, order)
-    return hit
+    return vanishing_basis(v, order)
 
 
 def _check_blowup(family: SetFamily, q: int) -> None:
@@ -156,8 +151,8 @@ def sm_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
             normal[js] = {support(m.exponents) for m in sm}
         return parts.top in normal[js]
 
-    monos = map(Monomial, down_set(family.n, qualifies, top=q - 1))
-    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
+    monos = down_set(family.n, qualifies, top=q - 1, key=order._key)
+    return StandardMonomialSet(order, tuple(map(Monomial, monos)))
 
 
 def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) -> list[Polynomial]:

@@ -5,7 +5,8 @@ I(V) in Q[x1,...,xn] has a finite normal set: the standard monomials,
 those not divisible by the leading monomial of any ideal element.  The
 number of standard monomials always equals |V|.
 
-The construction walks candidate monomials in increasing order.  A
+The construction walks the normal set with ``tuples.down_set`` in the
+term order, skipping multiples of the leading monomials found so far.  A
 candidate whose evaluation vector on V is independent of the ones found
 so far is standard; a dependent candidate yields a monic generator whose
 tail is supported on the standard monomials below it.  The generators
@@ -31,7 +32,6 @@ its denominators and takes integer dot products with those vectors.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -196,44 +196,37 @@ def _eliminate(
     the rows before it.  A candidate enters as its evaluation vector, k
     zeros and a weight of 1 for itself; if it reduces to a zero vector,
     its tail, divided by its own weight, is the generator's tail.
+
+    The candidates come from ``down_set`` in the order; its membership test
+    records a row (a standard monomial, which the walk grows) or a generator.
     """
     n, size = v.n, len(v)
-
-    # (key, exponents, last): a standard m pushes m*x_i only for i >= last (m's last nonzero
-    # position), so each candidate is pushed once; one that a lead divides is skipped.
-    heap: list[tuple] = [(order.key(Monomial.unit(n)), (0,) * n, 0)]
-
     table = _EvaluationTable(v)
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int]]] = []
     generators: list[Polynomial] = []
     leads: list[Point] = []
 
-    while heap:
-        _, expo, last = heapq.heappop(heap)
+    def independent(expo: Point) -> bool:
         if any(_divides(lead, expo) for lead in leads):
-            continue
+            return False
         m = Monomial(expo)
         # expo's parent in the table divides it, so it is standard and already built
         row = _reduce_against(table.vector(expo) + [0] * len(standard) + [1], rows)
         pivot = next((i for i in range(size) if row[i]), None)
-        if pivot is not None:
-            rows.append((pivot, row))
-            standard.append(m)
-            for i in range(last, n):
-                child = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
-                heapq.heappush(heap, (order.key(Monomial(child)), child, i))
-        else:
-            alpha = row[-1]
-            terms = {s: Fraction(c, alpha) for s, c in zip(standard, row[size:]) if c}
+        if pivot is None:
+            terms = {s: Fraction(c, row[-1]) for s, c in zip(standard, row[size:]) if c}
             terms[m] = Fraction(1)
             generators.append(Polynomial(n, terms))
             leads.append(expo)
+            return False
+        rows.append((pivot, row))
+        standard.append(m)
+        return True
 
-    if len(standard) != size:
-        raise RuntimeError(
-            f"engine error: found {len(standard)} standard monomials for {size} points"
-        )
+    found = sum(1 for _ in down_set(n, independent, key=order._key))
+    if found != size:
+        raise RuntimeError(f"engine error: found {found} standard monomials for {size} points")
     return standard, rows, generators
 
 

@@ -104,9 +104,11 @@ class TermOrder(str, Enum):
 
     def key(self, m: Monomial):
         """Sort key: monomials sort ascending in the order under this key."""
-        if self is TermOrder.LEX:
-            return m.exponents
-        return (m.degree(), m.exponents)
+        return self._key(m.exponents)
+
+    def _key(self, expo: tuple[int, ...]):
+        # key on an exponent tuple; it grows along every edge expo -> expo + e_i
+        return expo if self is TermOrder.LEX else (sum(expo), expo)
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         """Three-way comparison: -1 if a < b, 0 if equal, +1 if a > b."""

@@ -9,6 +9,8 @@ counting helpers used by the closed-form results.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -186,20 +188,30 @@ def shatters(v: PointSet, coords: Iterable[int]) -> bool:
     return len(seen) == want
 
 
-def down_set(n: int, keep: Callable[[Point], bool], top: int | None = None) -> Iterator[Point]:
+def down_set(
+    n: int, keep: Callable[[Point], bool], top: int | None = None, key: Callable | None = None
+) -> Iterator[Point]:
     """The members of a down-set of N^n, given its membership test keep,
     with entries at most top when top is given; not exported.  Each member
     is made once, from its canonical parent (one below it in its last
-    nonzero entry), so keep sees only the members and their border.
+    nonzero entry), so keep sees only the members and their border.  Given
+    a key that grows along every edge u -> u + e_i, as a term order's does,
+    a heap makes keep see its arguments, and the members come out, in
+    increasing key order; without one the walk is a depth-first stack.
     """
-    stack = [((0,) * n, 0)]  # (vector, position of its last nonzero entry)
-    while stack:
-        u, last = stack.pop()
+    zero = (0,) * n
+    # (key, vector, position of its last nonzero entry); term order keys never tie
+    pending = [(key(zero) if key else None, zero, 0)]
+    pop = functools.partial(heapq.heappop, pending) if key else pending.pop
+    push = functools.partial(heapq.heappush, pending) if key else pending.append
+    while pending:
+        _, u, last = pop()
         if keep(u):
             yield u
             for i in range(last, n):
                 if top is None or u[i] < top:
-                    stack.append((u[:i] + (u[i] + 1,) + u[i + 1 :], i))
+                    child = u[:i] + (u[i] + 1,) + u[i + 1 :]
+                    push((key(child) if key else None, child, i))
 
 
 def shattered_family(v: PointSet) -> SetFamily:

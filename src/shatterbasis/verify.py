@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -37,6 +38,7 @@ from .ideals import (
 )
 from .polyring import Monomial, TermOrder, leading_monomial
 from .tuples import (
+    Point,
     PointSet,
     SetFamily,
     ballot_member,
@@ -99,12 +101,21 @@ def _verdict(failures: Sequence[dict]) -> str:
 def _pmap(check: Callable[[tuple], list[dict]], items: Sequence, jobs: int) -> tuple[int, list[dict]]:
     """Run a top-level check on every item (a plain tuple, so that worker
     processes can receive it), in at most one worker process per item and
-    per CPU; return the item count and all failures."""
+    per CPU; return the item count and all failures.  A worker that dies
+    raises RuntimeError instead of leaving the run waiting for it."""
     items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(check, items)
+        # imported here: up front it slows every import of the package by about a tenth
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        chunk = -(-len(items) // (4 * workers))  # multiprocessing.Pool.map's default
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                results = list(pool.map(check, items, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            raise RuntimeError(f"a worker process died: {exc}") from exc
     else:
         results = [check(item) for item in items]
     return len(items), [f for fs in results for f in fs]
@@ -144,13 +155,12 @@ def _subsets(
 ) -> Iterator[tuple]:
     """Every nonempty subset of the points, or, given an rng, `samples`
     sorted draws, each of a uniform size in 1..max_size (default: all)."""
-    points = list(points)
     if rng is None:
-        total = (1 << len(points)) - 1
-        if total > _EXHAUSTIVE_CAP:
+        # 2^N - 1 subsets exceed the cap exactly when N reaches this bit length
+        if len(points) >= (_EXHAUSTIVE_CAP + 1).bit_length():
             raise ValueError(
-                f"exhaustive enumeration of {total} subsets exceeds the cap of {_EXHAUSTIVE_CAP}; "
-                "use samples= and seed= instead"
+                f"exhaustive enumeration of the 2^{len(points)} - 1 subsets of {len(points)} "
+                f"points exceeds the cap of {_EXHAUSTIVE_CAP}; use samples= and seed= instead"
             )
         for r in range(1, len(points) + 1):
             yield from itertools.combinations(points, r)
@@ -159,6 +169,23 @@ def _subsets(
     for _ in range(samples):
         size = rng.randint(1, top)
         yield tuple(sorted(rng.sample(points, size)))
+
+
+def _grid_subsets(
+    n: int, q: int, rng: random.Random | None = None, samples: int = 0, max_size: int | None = None
+) -> Iterator[tuple]:
+    """_subsets of the grid {0..q-1}^n in lex order, drawn as indices into
+    it and decoded in base q, first coordinate most significant, so the
+    grid is never listed.  random.sample uses only the population's length,
+    so the draws are those of _subsets over the listed grid."""
+    if q**n > sys.maxsize:
+        raise ValueError(f"the grid {{0..{q - 1}}}^{n} is too large to draw from")
+    for ks in _subsets(range(q**n), rng, samples, max_size):
+        yield tuple(_grid_point(k, n, q) for k in ks)
+
+
+def _grid_point(k: int, n: int, q: int) -> Point:
+    return tuple(k // q ** (n - 1 - i) % q for i in range(n))
 
 
 def _diff_closed_form(
@@ -218,13 +245,12 @@ def _grid_subset_suite(check: Callable[[tuple], list[dict]], params: dict) -> tu
     n = _int_param(params, "n", minimum=1)
     q = _int_param(params, "q", minimum=2)
     jobs = _jobs_param(params)
-    grid = list(itertools.product(range(q), repeat=n))
     if "samples" in params:
         samples = _int_param(params, "samples", minimum=1)
-        max_size = _int_param(params, "max_size", default=len(grid), minimum=1)
-        subsets = _subsets(grid, random.Random(_seed_param(params)), samples, max_size)
+        max_size = _int_param(params, "max_size", default=q**n, minimum=1)
+        subsets = _grid_subsets(n, q, random.Random(_seed_param(params)), samples, max_size)
     else:
-        subsets = _subsets(grid)
+        subsets = _grid_subsets(n, q)
     return _pmap(check, [(n, q, pts) for pts in subsets], jobs)
 
 
@@ -419,15 +445,14 @@ def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
     cert_samples = _int_param(params, "cert_samples", default=0, minimum=0)
     seed = _seed_param(params)
     jobs = _jobs_param(params)
-    grid = list(itertools.product(range(q), repeat=n))
-    max_size = _int_param(params, "max_size", default=len(grid) - 1, minimum=1)
-    max_size = min(max_size, len(grid) - 1)  # keep at least one pattern missing
+    max_size = _int_param(params, "max_size", default=q**n - 1, minimum=1)
+    max_size = min(max_size, q**n - 1)  # keep at least one pattern missing
 
     rng = random.Random(seed)
-    instances = [(n, q, pts) for pts in _subsets(grid, rng, samples, max_size)]
+    instances = [(n, q, pts) for pts in _grid_subsets(n, q, rng, samples, max_size)]
     _, fails = _pmap(_check_shatter_implication, instances, jobs)
 
-    for pts in _subsets(grid, rng, cert_samples, max_size):
+    for pts in _grid_subsets(n, q, rng, cert_samples, max_size):
         v = PointSet(n, q, pts)
         candidates = [
             cs

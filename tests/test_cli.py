@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +235,79 @@ class TestOutputSensitiveCommands:
         payload = json.loads(proc.stdout)
         assert payload["certified"] is True
         assert payload["standard_monomials"] == 1
+
+
+def run_limited(code):
+    """Run code in a fresh interpreter that imports this package, with its
+    address space alone capped at 1.5 GB; fails on a 30 s timeout."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    src = Path(shatterbasis.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+class TestNoHangOrExhaustion:
+    """Suites never list the q^n grid, and a dead worker ends the run."""
+
+    VERIFY = "import sys\nfrom shatterbasis.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n"
+
+    def test_sampled_grid_suite_in_high_dimension(self):
+        argv = ["verify", "--suite", "sm-cardinality", "--n", "20", "--q", "3",
+                "--samples", "1", "--seed", "1", "--max-size", "3"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: pass" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([], "exceeds the cap of 1048576"),
+            (["--samples", "1", "--seed", "1"], "too large to draw from"),
+        ],
+    )
+    def test_grid_suite_refuses_what_it_cannot_enumerate(self, extra, message):
+        # exhaustive at n=20, q=3: 2^(3^20) - 1 subsets; sampled at n=50:
+        # 3^50 indices do not fit random.sample
+        n = "50" if extra else "20"
+        argv = ["verify", "--suite", "sm-cardinality", "--n", n, "--q", "3", *extra]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+
+    def test_dead_worker_exits_one(self):
+        code = (
+            "import os, sys\n"
+            "import shatterbasis.verify as verify\n"
+            "from shatterbasis.cli import main\n"
+            "def dies_on_two(item):\n"
+            "    if item == (2,):\n"
+            "        os._exit(3)\n"
+            "    return []\n"
+            "verify._SUITES['sm-cardinality'] = (\n"
+            "    lambda params: verify._pmap(dies_on_two, [(k,) for k in range(4)], 2)\n"
+            ")\n"
+            "verify.os.cpu_count = lambda: 2\n"
+            "sys.argv[1:] = ['verify', '--suite', 'sm-cardinality', '--jobs', '2']\n"
+            "main()\n"
+        )
+        proc = run_limited(code)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: a worker process died")
 
 
 class TestBoundsCommand:

@@ -1,10 +1,13 @@
 """Closed-form normal sets, counting formulas, bounds and certificates."""
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from shatterbasis.closedform import (
     sm_uniform_binary,
     uniform_leading_certificate,
 )
-from shatterbasis.ideals import StandardMonomialSet, certify_groebner, vanishing_basis
+from shatterbasis.ideals import StandardMonomialSet, certify_groebner, interpolate, vanishing_basis
 from shatterbasis.polyring import (
     Monomial,
     Polynomial,
@@ -333,17 +336,32 @@ class TestBlowup:
         assert run_python(code) == ["2", "118", "True"]
 
     def test_binary_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(closedform, "_binary_cache", {})
-        monkeypatch.setattr(closedform, "vanishing_basis", lambda v, order: (object(), v))
-        cap = closedform._BINARY_CACHE_CAP
-        systems = [PointSet(13, 2, [[(i >> k) & 1 for k in range(13)]]) for i in range(cap + 5)]
-        for v in systems:
-            closedform._binary_basis(v, DEGLEX)
-        assert len(closedform._binary_cache) == cap
-        assert (systems[0], DEGLEX) not in closedform._binary_cache
-        hit = closedform._binary_basis(systems[-1], DEGLEX)
-        assert hit is closedform._binary_basis(systems[-1], DEGLEX)
-        assert hit is closedform._binary_cache[(systems[-1], DEGLEX)]
+        calls = []
+
+        def fake_basis(v, order):
+            calls.append(v)
+            return object(), v
+
+        monkeypatch.setattr(closedform, "vanishing_basis", fake_basis)
+        cache = closedform._binary_basis
+        cache.cache_clear()
+        try:
+            cap = closedform._BINARY_CACHE_CAP
+            systems = [PointSet(13, 2, [[(i >> k) & 1 for k in range(13)]]) for i in range(cap + 5)]
+            for v in systems:
+                cache(v, DEGLEX)
+            assert cache.cache_info().currsize == cap
+            assert len(calls) == cap + 5
+            hit = cache(systems[-1], DEGLEX)
+            assert hit is cache(systems[-1], DEGLEX)
+            assert cache.cache_info().hits == 2
+            assert len(calls) == cap + 5
+            # the first key was evicted, so asking for it again computes it anew
+            cache(systems[0], DEGLEX)
+            assert len(calls) == cap + 6
+            assert calls[-1] is systems[0]
+        finally:
+            cache.cache_clear()
 
 
 class TestCounting:
@@ -572,3 +590,45 @@ class TestConsistencyAcrossModules:
                             1 for m in sm if full_exponent_count(m, q) <= s
                         )
                         assert count <= bound("sphere_slice", n, d=d, s=s, q=q).value
+
+
+def render_poly(g, order):
+    terms = sorted(g.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+    return [[list(m.exponents), str(c)] for m, c in terms]
+
+
+def ordered_outputs(order):
+    """The outputs of the engine and of the closed forms on seeded inputs,
+    every list in the order it is returned in."""
+    rng = random.Random(8)
+    out = []
+    for _ in range(12):
+        n, q = rng.choice([(2, 4), (3, 3), (4, 2), (4, 3)])
+        grid = list(itertools.product(range(q), repeat=n))
+        v = PointSet(n, q, rng.sample(grid, rng.randint(1, min(20, len(grid)))))
+        gb, sm = vanishing_basis(v, order)
+        values = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for p in v}
+        out.append(
+            [
+                [render_poly(g, order) for g in gb],
+                [list(m.exponents) for m in sm],
+                render_poly(interpolate(v, values, order), order),
+            ]
+        )
+    for n, d, q in [(3, 1, 3), (4, 2, 3), (4, 2, 4), (5, 3, 2), (5, 2, 3)]:
+        out.append([list(m.exponents) for m in sm_hamming_sphere(n, d, q, order)])
+    for family, q in seeded_families(8, 12):
+        out.append([list(m.exponents) for m in sm_blowup(family, q, order)])
+        out.append([render_poly(g, order) for g in gb_blowup(family, q, order)])
+    return out
+
+
+class TestOrderedOutputs:
+    def test_outputs_and_their_order_are_pinned(self):
+        # computed before the engine and the closed forms took their walk in
+        # term order from the shared down-set walker; every list, its order
+        # included, must stay as it was
+        payload = json.dumps([ordered_outputs(order) for order in (DEGLEX, LEX)])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "a0066919341eea6e15e88049b82131b02d9269878a65d0c8d85409a1bbb5bace"
+        )

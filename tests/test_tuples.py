@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import reference_ballot, reference_shattered_sets, reference_shatters
-from shatterbasis.polyring import Monomial
+from shatterbasis.polyring import Monomial, TermOrder
 from shatterbasis.tuples import (
     EmptyPointSetError,
     PointSet,
@@ -188,6 +188,31 @@ class TestDownSet:
                 got = list(down_set(n, keep, top=top))
                 assert len(got) == len(set(got))
                 assert set(got) == expected
+
+    def test_keyed_walk_is_in_key_order(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+
+            def member(u):
+                return any(all(a <= b for a, b in zip(u, g)) for g in gens)
+
+            for order in TermOrder:
+                for top in (None, 1, 2):
+                    seen = []
+
+                    def keep(u):
+                        seen.append(u)
+                        return member(u)
+
+                    bound = 3 if top is None else top
+                    box = itertools.product(range(bound + 1), repeat=n)
+                    expected = sorted(filter(member, box), key=order._key)
+                    assert list(down_set(n, keep, top=top, key=order._key)) == expected
+                    keys = [order._key(u) for u in seen]
+                    assert keys == sorted(keys)
+                    assert len(set(seen)) == len(seen)
 
     def test_rejected_zero_vector_yields_nothing(self):
         assert list(down_set(3, lambda u: False)) == []

@@ -1,5 +1,6 @@
 """Report plumbing and the verification suite registry."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -132,7 +133,7 @@ class TestSuiteOutcomes:
         pools = []
 
         class SerialPool:
-            def __init__(self, k):
+            def __init__(self, k, mp_context):
                 pools.append(k)
 
             def __enter__(self):
@@ -141,13 +142,10 @@ class TestSuiteOutcomes:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize):
                 return [fn(item) for item in items]
 
-        class Context:
-            Pool = SerialPool
-
-        monkeypatch.setattr(verify.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         report = run_suite("sm-cardinality", n=2, q=2, jobs=5000)
         assert pools == expected  # 15 items, jobs=5000; no pool below two workers
