@@ -332,14 +332,9 @@ def indicator_polynomial(q: int) -> Polynomial:
     for 1 <= i <= q-1.
 
     For q=2 this is x itself; composing with it collapses {1,...,q-1}
-    onto 1 while fixing 0.  Built once per q (``_indicator``); the result
-    is shared, like every Polynomial it is immutable by convention.
+    onto 1 while fixing 0.  Each call builds it afresh; ``binary_lift``
+    reads the powers it needs from a cache per (q, e).
     """
-    return _indicator(q)
-
-
-@functools.lru_cache(maxsize=_INDICATOR_CACHE_CAP)
-def _indicator(q: int) -> Polynomial:
     if q < 2:
         raise ValueError("alphabet size q must be at least 2")
     x = Polynomial.variable(1, 1)
@@ -355,7 +350,7 @@ def _indicator(q: int) -> Polynomial:
 @functools.lru_cache(maxsize=_INDICATOR_CACHE_CAP)
 def _indicator_power(q: int, e: int) -> tuple[Fraction, ...]:
     """The coefficients of p^e, p the indicator of q, by increasing degree."""
-    power = _indicator(q) ** e
+    power = indicator_polynomial(q) ** e
     return tuple(power.coefficient(Monomial((d,))) for d in range(power.degree() + 1))
 
 

@@ -18,12 +18,14 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .closedform import (
     bound,
     count_ballot,
     gb_blowup,
+    shatter_cap,
     sm_blowup,
     sm_hamming_sphere,
     sm_uniform_binary,
@@ -94,17 +96,17 @@ class Report:
         return out
 
 
-def _verdict(failures: Sequence[dict]) -> str:
-    return "pass" if not failures else "fail"
-
-
-def _pmap(check: Callable[[tuple], list[dict]], items: Sequence, jobs: int) -> tuple[int, list[dict]]:
+def _pmap(check: Callable[[tuple], tuple[int, list]], items: Iterable[tuple], jobs: int) -> tuple[int, list]:
     """Run a top-level check on every item (a plain tuple, so that worker
     processes can receive it), in at most one worker process per item and
-    per CPU; return the item count and all failures.  A worker that dies
-    raises RuntimeError instead of leaving the run waiting for it."""
-    items = list(items)
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    per CPU, and sum the (checked, failures) pairs it returns.  One worker
+    takes the items lazily, so a long instance stream is never listed.  A
+    worker that dies raises RuntimeError instead of leaving the run waiting
+    for it."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        items = list(items)
+        workers = min(workers, len(items))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # imported here: up front it slows every import of the package by about a tenth
         from concurrent.futures import ProcessPoolExecutor
@@ -117,8 +119,12 @@ def _pmap(check: Callable[[tuple], list[dict]], items: Sequence, jobs: int) -> t
         except BrokenProcessPool as exc:
             raise RuntimeError(f"a worker process died: {exc}") from exc
     else:
-        results = [check(item) for item in items]
-    return len(items), [f for fs in results for f in fs]
+        results = map(check, items)
+    checked, failures = 0, []
+    for c, f in results:
+        checked += c
+        failures += f
+    return checked, failures
 
 
 def _int_param(params: dict, name: str, default: int | None = None, minimum: int | None = None) -> int:
@@ -211,25 +217,22 @@ def _diff_closed_form(
     return fails
 
 
-def _check_size(
-    v: PointSet, s_top: int, limit: Callable[[int], int], params: dict
-) -> tuple[int, list[dict]]:
-    """For every s from the largest size v shatters up to s_top, v shatters
-    nothing above s, so it may hold at most limit(s) points."""
-    checked = 0
-    fails = []
-    for s in range(max(_max_shattered(v), 0), s_top + 1):
-        checked += 1
-        allowed = limit(s)
-        if len(v) > allowed:
-            fails.append(
-                {
-                    "params": {**params, "s": s, "points": [list(p) for p in v]},
-                    "expected": f"at most {allowed} points",
-                    "actual": len(v),
-                }
-            )
-    return checked, fails
+def _check_size(item: tuple) -> tuple[int, list[dict]]:
+    """For every s from the largest size v shatters up to the last of the
+    limits, v shatters nothing above s, so it may hold at most limits[s]
+    points."""
+    params, limits, pts = item
+    v = PointSet(params["n"], params["q"], pts)
+    sizes = range(max(_max_shattered(v), 0), len(limits))
+    return len(sizes), [
+        {
+            "params": {**params, "s": s, "points": [list(p) for p in v]},
+            "expected": f"at most {limits[s]} points",
+            "actual": len(v),
+        }
+        for s in sizes
+        if len(v) > limits[s]
+    ]
 
 
 def _max_shattered(v: PointSet) -> int:
@@ -239,7 +242,7 @@ def _max_shattered(v: PointSet) -> int:
 # ---------------------------------------------------------------- suites
 
 
-def _grid_subset_suite(check: Callable[[tuple], list[dict]], params: dict) -> tuple[int, list[dict]]:
+def _grid_subset_suite(check: Callable[[tuple], tuple], params: dict) -> tuple[int, list[dict]]:
     """Run check on (n, q, points) for every nonempty subset of the grid
     {0..q-1}^n, or for samples= seeded draws of 1..max_size points."""
     n = _int_param(params, "n", minimum=1)
@@ -251,10 +254,10 @@ def _grid_subset_suite(check: Callable[[tuple], list[dict]], params: dict) -> tu
         subsets = _grid_subsets(n, q, random.Random(_seed_param(params)), samples, max_size)
     else:
         subsets = _grid_subsets(n, q)
-    return _pmap(check, [(n, q, pts) for pts in subsets], jobs)
+    return _pmap(check, ((n, q, pts) for pts in subsets), jobs)
 
 
-def _check_cardinality(item: tuple) -> list[dict]:
+def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
     fails = []
@@ -268,7 +271,7 @@ def _check_cardinality(item: tuple) -> list[dict]:
                     "actual": len(sm),
                 }
             )
-    return fails
+    return 1, fails
 
 
 def _suite_sm_cardinality(params: dict) -> tuple[int, list[dict]]:
@@ -276,9 +279,9 @@ def _suite_sm_cardinality(params: dict) -> tuple[int, list[dict]]:
     return _grid_subset_suite(_check_cardinality, params)
 
 
-def _check_uniform_binary(item: tuple) -> list[dict]:
+def _check_uniform_binary(item: tuple) -> tuple[int, list[dict]]:
     n, d = item
-    return _diff_closed_form(
+    return 1, _diff_closed_form(
         {"n": n, "d": d}, complete_uniform(n, d, 2), lambda order: sm_uniform_binary(n, d, order)
     )
 
@@ -291,9 +294,9 @@ def _suite_uniform_binary(params: dict) -> tuple[int, list[dict]]:
     return _pmap(_check_uniform_binary, instances, jobs)
 
 
-def _check_hamming_sphere(item: tuple) -> list[dict]:
+def _check_hamming_sphere(item: tuple) -> tuple[int, list[dict]]:
     n, d, q = item
-    return _diff_closed_form(
+    return 1, _diff_closed_form(
         {"n": n, "d": d, "q": q},
         hamming_sphere(n, d, q),
         lambda order: sm_hamming_sphere(n, d, q, order),
@@ -309,7 +312,7 @@ def _suite_hamming_sphere(params: dict) -> tuple[int, list[dict]]:
     return _pmap(_check_hamming_sphere, instances, jobs)
 
 
-def _check_blowup(item: tuple) -> list[dict]:
+def _check_blowup(item: tuple) -> tuple[int, list[dict]]:
     n, q, members, order_values = item
     family = SetFamily(n, members)
     grown = blow_up(family, q)
@@ -325,7 +328,7 @@ def _check_blowup(item: tuple) -> list[dict]:
                     "actual": "certification failed",
                 }
             )
-    return fails
+    return 1, fails
 
 
 def _suite_blowup(params: dict) -> tuple[int, list[dict]]:
@@ -334,6 +337,8 @@ def _suite_blowup(params: dict) -> tuple[int, list[dict]]:
     q = _int_param(params, "q", minimum=2)
     jobs = _jobs_param(params)
     order_values = tuple(o.value for o in _orders_param(params))
+    if 2**n > _EXHAUSTIVE_CAP:
+        raise ValueError(f"the 2^{n} coordinate sets of a family exceed the cap of {_EXHAUSTIVE_CAP}")
     ground = [m for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
     if "samples" in params:
         samples = _int_param(params, "samples", minimum=1)
@@ -355,42 +360,39 @@ def _suite_blowup(params: dict) -> tuple[int, list[dict]]:
     return _pmap(_check_blowup, instances, jobs)
 
 
+def _check_ballot_count(item: tuple) -> tuple[int, list[dict]]:
+    n, q = item
+    tallies = [0] * (n + 1)
+    for u in itertools.product(range(q), repeat=n):
+        if ballot_member(u, q):
+            tallies[sum(1 for e in u if e == q - 1)] += 1
+    fails = []
+    for i in range(n // 2 + 1):
+        expected = count_ballot(n, q, i)
+        if tallies[i] != expected:
+            fails.append({"params": {"n": n, "q": q, "i": i}, "expected": expected, "actual": tallies[i]})
+    leftover = sum(tallies[n // 2 + 1:])
+    if leftover:
+        fails.append(
+            {
+                "params": {"n": n, "q": q},
+                "expected": "no ballot member with more than n/2 full exponents",
+                "actual": leftover,
+            }
+        )
+    return n // 2 + 1, fails
+
+
 def _suite_ballot_count(params: dict) -> tuple[int, list[dict]]:
     """Ballot stratum formula vs direct enumeration of the grid."""
     n_max = _int_param(params, "n_max", minimum=1)
     q_max = _int_param(params, "q_max", minimum=2)
-    checked = 0
-    fails = []
-    for n in range(1, n_max + 1):
-        for q in range(2, q_max + 1):
-            tallies = [0] * (n + 1)
-            for u in itertools.product(range(q), repeat=n):
-                if ballot_member(u, q):
-                    tallies[sum(1 for e in u if e == q - 1)] += 1
-            for i in range(n // 2 + 1):
-                checked += 1
-                expected = count_ballot(n, q, i)
-                if tallies[i] != expected:
-                    fails.append(
-                        {
-                            "params": {"n": n, "q": q, "i": i},
-                            "expected": expected,
-                            "actual": tallies[i],
-                        }
-                    )
-            leftover = sum(tallies[n // 2 + 1:])
-            if leftover:
-                fails.append(
-                    {
-                        "params": {"n": n, "q": q},
-                        "expected": "no ballot member with more than n/2 full exponents",
-                        "actual": leftover,
-                    }
-                )
-    return checked, fails
+    jobs = _jobs_param(params)
+    instances = [(n, q) for n in range(1, n_max + 1) for q in range(2, q_max + 1)]
+    return _pmap(_check_ballot_count, instances, jobs)
 
 
-def _check_uniform_ballot(item: tuple) -> list[dict]:
+def _check_uniform_ballot(item: tuple) -> tuple[int, list[dict]]:
     n, d, q = item
     fails = []
     u = complete_uniform(n, d, q)
@@ -405,7 +407,7 @@ def _check_uniform_ballot(item: tuple) -> list[dict]:
                     "actual": sorted(bad),
                 }
             )
-    return fails
+    return 1, fails
 
 
 def _suite_uniform_ballot(params: dict) -> tuple[int, list[dict]]:
@@ -417,7 +419,7 @@ def _suite_uniform_ballot(params: dict) -> tuple[int, list[dict]]:
     return _pmap(_check_uniform_ballot, instances, jobs)
 
 
-def _check_shatter_implication(item: tuple) -> list[dict]:
+def _check_shatter_implication(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
     _, sm = vanishing_basis(v, TermOrder.DEGLEX)
@@ -425,7 +427,7 @@ def _check_shatter_implication(item: tuple) -> list[dict]:
         (sorted(support(e)) for e in sm.exponent_vectors() if any(e) and set(e) <= {0, q - 1}),
         key=lambda cs: (len(cs), cs),
     )
-    return [
+    return 1, [
         {
             "params": {"points": [list(p) for p in pts], "coords": cs},
             "expected": "shattered",
@@ -436,23 +438,10 @@ def _check_shatter_implication(item: tuple) -> list[dict]:
     ]
 
 
-def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
-    """Full-power standard monomials force shattering; witness certificates
-    vanish and lead with the full power product."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    samples = _int_param(params, "samples", minimum=0)
-    cert_samples = _int_param(params, "cert_samples", default=0, minimum=0)
-    seed = _seed_param(params)
-    jobs = _jobs_param(params)
-    max_size = _int_param(params, "max_size", default=q**n - 1, minimum=1)
-    max_size = min(max_size, q**n - 1)  # keep at least one pattern missing
-
-    rng = random.Random(seed)
-    instances = [(n, q, pts) for pts in _grid_subsets(n, q, rng, samples, max_size)]
-    _, fails = _pmap(_check_shatter_implication, instances, jobs)
-
-    for pts in _grid_subsets(n, q, rng, cert_samples, max_size):
+def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_size: int) -> Iterator[tuple]:
+    """Per drawn V, a coordinate set V does not shatter and a witness point
+    whose pattern on it V misses, all drawn from rng in turn."""
+    for pts in _grid_subsets(n, q, rng, samples, max_size):
         v = PointSet(n, q, pts)
         candidates = [
             cs
@@ -461,34 +450,76 @@ def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
             if not shatters(v, cs)
         ]
         cs = rng.choice(candidates)
-        present = v.restrictions(cs)
-        missing = sorted(set(itertools.product(range(q), repeat=len(cs))) - present)
-        pattern = rng.choice(missing)
+        missing = sorted(set(itertools.product(range(q), repeat=len(cs))) - v.restrictions(cs))
         witness = [0] * n
-        for c, value in zip(cs, pattern):
+        for c, value in zip(cs, rng.choice(missing)):
             witness[c - 1] = value
-        cert = non_shatter_certificate(v, cs, witness)
-        expected_lead = Monomial(tuple(q - 1 if i in cs else 0 for i in range(1, n + 1)))
-        hit = _first_nonzero([cert], v)
-        if hit is not None:
+        yield n, q, pts, cs, witness
+
+
+def _check_certificate(item: tuple) -> tuple[int, list[dict]]:
+    n, q, pts, cs, witness = item
+    v = PointSet(n, q, pts)
+    cert = non_shatter_certificate(v, cs, witness)
+    expected_lead = Monomial(tuple(q - 1 if i in cs else 0 for i in range(1, n + 1)))
+    fails = []
+    hit = _first_nonzero([cert], v)
+    if hit is not None:
+        fails.append(
+            {
+                "params": {"points": [list(p) for p in v], "coords": list(cs), "witness": witness},
+                "expected": "certificate vanishes on V",
+                "actual": f"nonzero at {list(hit[1])}",
+            }
+        )
+    for order in _BOTH_ORDERS:
+        lead = leading_monomial(cert, order)
+        if lead != expected_lead:
             fails.append(
                 {
-                    "params": {"points": [list(p) for p in v], "coords": list(cs), "witness": witness},
-                    "expected": "certificate vanishes on V",
-                    "actual": f"nonzero at {list(hit[1])}",
+                    "params": {"coords": list(cs), "witness": witness, "order": order.value},
+                    "expected": list(expected_lead.exponents),
+                    "actual": list(lead.exponents),
                 }
             )
-        for order in _BOTH_ORDERS:
-            lead = leading_monomial(cert, order)
-            if lead != expected_lead:
-                fails.append(
-                    {
-                        "params": {"coords": list(cs), "witness": witness, "order": order.value},
-                        "expected": list(expected_lead.exponents),
-                        "actual": list(lead.exponents),
-                    }
-                )
-    return samples + cert_samples, fails
+    return 1, fails
+
+
+def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
+    """Full-power standard monomials force shattering; witness certificates
+    vanish and lead with the full power product."""
+    n = _int_param(params, "n", minimum=1)
+    q = _int_param(params, "q", minimum=2)
+    samples = _int_param(params, "samples", minimum=0)
+    cert_samples = _int_param(params, "cert_samples", default=0, minimum=0)
+    rng = random.Random(_seed_param(params))
+    jobs = _jobs_param(params)
+    max_size = _int_param(params, "max_size", default=q**n - 1, minimum=1)
+    max_size = min(max_size, q**n - 1)  # keep at least one pattern missing
+    implied = ((n, q, pts) for pts in _grid_subsets(n, q, rng, samples, max_size))
+    checked, fails = _pmap(_check_shatter_implication, implied, jobs)
+    # drawn only once the implication draws are spent, as rng is shared
+    c, f = _pmap(_check_certificate, _certificate_draws(n, q, rng, cert_samples, max_size), jobs)
+    return checked + c, fails + f
+
+
+def _check_sphere_attains(item: tuple) -> tuple[int, list[dict]]:
+    n, d, s, q, limit = item
+    sphere = hamming_sphere(n, d, q)
+    worst = _max_shattered(sphere)
+    params = {"n": n, "d": d, "s": s, "q": q}
+    fails = []
+    if len(sphere) != limit:
+        fails.append({"params": params, "expected": limit, "actual": len(sphere)})
+    if worst > s:
+        fails.append({"params": params, "expected": f"no shattered set of size {s + 1}", "actual": worst})
+    return 2, fails
+
+
+def _check_gap_subset(item: tuple) -> tuple[int, list[int]]:
+    """The size of the subsystem if it shatters nothing above s."""
+    n, q, s, pts = item
+    return 1, [len(pts)] if _max_shattered(PointSet(n, q, pts)) <= s else []
 
 
 def _suite_hamming_sharpness(params: dict) -> tuple[int, list[dict]]:
@@ -498,46 +529,49 @@ def _suite_hamming_sharpness(params: dict) -> tuple[int, list[dict]]:
     d = _int_param(params, "d", minimum=0)
     s = _int_param(params, "s", minimum=0)
     q = _int_param(params, "q", minimum=2)
+    jobs = _jobs_param(params)
     limit = bound("hamming", n, d=d, s=s, q=q).value
-    sphere = hamming_sphere(n, d, q)
-    fails = []
-    checked = 0
     if n == s + d:
-        checked += 2
-        if len(sphere) != limit:
-            fails.append(
-                {
-                    "params": {"n": n, "d": d, "s": s, "q": q},
-                    "expected": limit,
-                    "actual": len(sphere),
-                }
-            )
-        if _max_shattered(sphere) > s:
-            fails.append(
-                {
-                    "params": {"n": n, "d": d, "s": s, "q": q},
-                    "expected": f"no shattered set of size {s + 1}",
-                    "actual": _max_shattered(sphere),
-                }
-            )
-    else:
-        if q == 2:
-            raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
-        best = 0
-        for pts in _subsets(sphere.points):
-            v = PointSet(n, q, pts)
-            checked += 1
-            if _max_shattered(v) <= s:
-                best = max(best, len(v))
-        if best >= limit:
-            fails.append(
-                {
-                    "params": {"n": n, "d": d, "s": s, "q": q},
-                    "expected": f"strict gap below {limit}",
-                    "actual": best,
-                }
-            )
-    return checked, fails
+        return _pmap(_check_sphere_attains, [(n, d, s, q, limit)], jobs)
+    if q == 2:
+        raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
+    subsets = _subsets(hamming_sphere(n, d, q).points)
+    checked, sizes = _pmap(_check_gap_subset, ((n, q, s, pts) for pts in subsets), jobs)
+    best = max(sizes, default=0)
+    if best < limit:
+        return checked, []
+    return checked, [
+        {"params": {"n": n, "d": d, "s": s, "q": q}, "expected": f"strict gap below {limit}", "actual": best}
+    ]
+
+
+def _check_km(item: tuple) -> tuple[int, list[dict]]:
+    n, q, s = item
+    w = km_extremal(n, s, q)
+    problems = []
+    limit = bound("km", n, s=s, q=q).value
+    if len(w) != limit:
+        problems.append(f"size {len(w)} != bound {limit}")
+    worst = _max_shattered(w)
+    if worst > s:
+        problems.append(f"shatters a set of size {worst}")
+    d, x = lower_bound_slice(n, s, q)
+    if classify(x).coordinate_sum != d:
+        problems.append("slice is not d-uniform")
+    if len(x) * ((q - 1) * n + 1) < len(w):
+        problems.append(f"slice size {len(x)} below pigeonhole guarantee")
+    worst = _max_shattered(x)
+    if worst > s:
+        problems.append(f"slice shatters a set of size {worst}")
+    if not problems:
+        return 1, []
+    return 1, [
+        {
+            "params": {"n": n, "s": s, "q": q},
+            "expected": "extremal witness properties",
+            "actual": "; ".join(problems),
+        }
+    ]
 
 
 def _suite_km_sharpness(params: dict) -> tuple[int, list[dict]]:
@@ -546,38 +580,17 @@ def _suite_km_sharpness(params: dict) -> tuple[int, list[dict]]:
     n_max = _int_param(params, "n_max", minimum=1)
     s_max = _int_param(params, "s_max", minimum=0)
     q_max = _int_param(params, "q_max", minimum=2)
-    checked = 0
-    fails = []
-    for n in range(1, n_max + 1):
-        for q in range(2, q_max + 1):
-            for s in range(0, min(s_max, n - 1) + 1):
-                checked += 1
-                w = km_extremal(n, s, q)
-                problems = []
-                limit = bound("km", n, s=s, q=q).value
-                if len(w) != limit:
-                    problems.append(f"size {len(w)} != bound {limit}")
-                if _max_shattered(w) > s:
-                    problems.append(f"shatters a set of size {_max_shattered(w)}")
-                d, x = lower_bound_slice(n, s, q)
-                if classify(x).coordinate_sum != d:
-                    problems.append("slice is not d-uniform")
-                if len(x) * ((q - 1) * n + 1) < len(w):
-                    problems.append(f"slice size {len(x)} below pigeonhole guarantee")
-                if _max_shattered(x) > s:
-                    problems.append(f"slice shatters a set of size {_max_shattered(x)}")
-                if problems:
-                    fails.append(
-                        {
-                            "params": {"n": n, "s": s, "q": q},
-                            "expected": "extremal witness properties",
-                            "actual": "; ".join(problems),
-                        }
-                    )
-    return checked, fails
+    jobs = _jobs_param(params)
+    instances = [
+        (n, q, s)
+        for n in range(1, n_max + 1)
+        for q in range(2, q_max + 1)
+        for s in range(0, min(s_max, n - 1) + 1)
+    ]
+    return _pmap(_check_km, instances, jobs)
 
 
-def _check_compress(item: tuple) -> list[dict]:
+def _check_compress(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
     # by default alon_compress checks no trace set above n = 4
@@ -594,7 +607,7 @@ def _check_compress(item: tuple) -> list[dict]:
                     "actual": str(exc),
                 }
             )
-    return fails
+    return 1, fails
 
 
 def _suite_alon_compress(params: dict) -> tuple[int, list[dict]]:
@@ -602,61 +615,52 @@ def _suite_alon_compress(params: dict) -> tuple[int, list[dict]]:
     return _grid_subset_suite(_check_compress, params)
 
 
+def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
+    n, d, q, cap, pts = item
+    worst = _max_shattered(PointSet(n, q, pts))
+    if worst <= cap:
+        return 1, []
+    return 1, [
+        {
+            "params": {"n": n, "d": d, "q": q, "points": [list(p) for p in pts]},
+            "expected": f"shattered sets of size at most {cap}",
+            "actual": worst,
+        }
+    ]
+
+
 def _suite_shatter_cap(params: dict) -> tuple[int, list[dict]]:
     """No subsystem of a complete d-uniform system shatters a set larger
     than ceil(d / (q-1))."""
-    from .closedform import shatter_cap
-
     n = _int_param(params, "n", minimum=1)
     q = _int_param(params, "q", minimum=2)
-    checked = 0
-    fails = []
-    for d in range((q - 1) * n + 1):
-        u = complete_uniform(n, d, q)
-        cap = shatter_cap(d, q)
-        for pts in _subsets(u.points):
-            v = PointSet(n, q, pts)
-            checked += 1
-            worst = _max_shattered(v)
-            if worst > cap:
-                fails.append(
-                    {
-                        "params": {"n": n, "d": d, "q": q, "points": [list(p) for p in pts]},
-                        "expected": f"shattered sets of size at most {cap}",
-                        "actual": worst,
-                    }
-                )
-    return checked, fails
+    jobs = _jobs_param(params)
+    instances = (
+        (n, d, q, shatter_cap(d, q), pts)
+        for d in range((q - 1) * n + 1)
+        for pts in _subsets(complete_uniform(n, d, q).points)
+    )
+    return _pmap(_check_shatter_cap, instances, jobs)
+
+
+def _check_q2_bound(item: tuple) -> tuple[int, list[dict]]:
+    name, n, d, s = item
+    got = bound(name, n, d=d, s=s, q=2).value
+    if got == comb(n, s):
+        return 1, []
+    params = {k: v for k, v in {"n": n, "d": d, "s": s, "name": name}.items() if v is not None}
+    return 1, [{"params": params, "expected": comb(n, s), "actual": got}]
 
 
 def _suite_q2_consistency(params: dict) -> tuple[int, list[dict]]:
     """At q=2 the q-ary uniform and Hamming bounds collapse to C(n, s)."""
-    from math import comb
-
     n_max = _int_param(params, "n_max", minimum=1)
-    checked = 0
-    fails = []
-    for n in range(1, n_max + 1):
-        for s in range(n // 2 + 1):
-            checked += 1
-            got = bound("uniform", n, s=s, q=2).value
-            if got != comb(n, s):
-                fails.append(
-                    {"params": {"n": n, "s": s, "name": "uniform"}, "expected": comb(n, s), "actual": got}
-                )
-        for d in range(n + 1):
-            for s in range(n - d + 1):
-                checked += 1
-                got = bound("hamming", n, d=d, s=s, q=2).value
-                if got != comb(n, s):
-                    fails.append(
-                        {
-                            "params": {"n": n, "d": d, "s": s, "name": "hamming"},
-                            "expected": comb(n, s),
-                            "actual": got,
-                        }
-                    )
-    return checked, fails
+    jobs = _jobs_param(params)
+    instances = [("uniform", n, None, s) for n in range(1, n_max + 1) for s in range(n // 2 + 1)]
+    instances += [
+        ("hamming", n, d, s) for n in range(1, n_max + 1) for d in range(n + 1) for s in range(n - d + 1)
+    ]
+    return _pmap(_check_q2_bound, instances, jobs)
 
 
 def _suite_sm_slice(params: dict) -> tuple[int, list[dict]]:
@@ -664,52 +668,47 @@ def _suite_sm_slice(params: dict) -> tuple[int, list[dict]]:
     than s fits inside the standard monomials with at most s full exponents."""
     n = _int_param(params, "n", minimum=1)
     q = _int_param(params, "q", minimum=2)
-    checked = 0
-    fails = []
-    for d in range((q - 1) * n + 1):
-        u = complete_uniform(n, d, q)
-        _, sm = vanishing_basis(u, TermOrder.DEGLEX)
-        cumulative = [0] * (n + 2)
-        for m in sm:
-            cumulative[full_exponent_count(m, q)] += 1
-        for i in range(1, n + 2):
-            cumulative[i] += cumulative[i - 1]
-        for pts in _subsets(u.points):
-            c, f = _check_size(
-                PointSet(n, q, pts), n, lambda s: cumulative[s], {"n": n, "d": d, "q": q}
-            )
-            checked += c
-            fails += f
-    return checked, fails
+    jobs = _jobs_param(params)
+
+    def slices() -> Iterator[tuple]:
+        for d in range((q - 1) * n + 1):
+            u = complete_uniform(n, d, q)
+            counts = [0] * (n + 1)
+            for m in vanishing_basis(u, TermOrder.DEGLEX)[1]:
+                counts[full_exponent_count(m, q)] += 1
+            # limits[s]: the standard monomials with at most s full exponents
+            yield {"n": n, "d": d, "q": q}, tuple(itertools.accumulate(counts)), _subsets(u.points)
+
+    return _pmap(_check_size, ((p, limits, pts) for p, limits, subsets in slices() for pts in subsets), jobs)
 
 
 def _suite_search(theorem: str, params: dict) -> tuple[int, list[dict]]:
     n = _int_param(params, "n", minimum=1)
     q = _int_param(params, "q", minimum=2)
-    rng, samples = None, 0
+    jobs = _jobs_param(params)
+    rng, samples, max_size = None, 0, None
     if "samples" in params:
         samples = _int_param(params, "samples", minimum=1)
+        max_size = _int_param(params, "max_size", default=q**n, minimum=1)
         rng = random.Random(_seed_param(params))
-    # (ambient system, d, largest s the theorem allows) per slice
-    if theorem == "uniform":
-        slices = [(complete_uniform(n, d, q), d, n // 2) for d in range((q - 1) * n + 1)]
-    elif theorem == "hamming":
-        slices = [(hamming_sphere(n, d, q), d, n - d) for d in range(n + 1)]
+    # (d, largest s the theorem allows, subsets of the ambient system) per slice
+    if theorem == "km":  # the grid is drawn by index, never listed
+        slices = [(None, n - 1, _grid_subsets(n, q, rng, samples, max_size))]
     else:
-        slices = [(PointSet(n, q, itertools.product(range(q), repeat=n)), None, n - 1)]
-    checked = 0
-    fails = []
-    for ambient, d, s_top in slices:
-        for pts in _subsets(ambient.points, rng, samples):
-            c, f = _check_size(
-                PointSet(n, q, pts),
-                s_top,
-                lambda s: bound(theorem, n, d=d, s=s, q=q).value,
-                {"n": n, "q": q, "d": d},
-            )
-            checked += c
-            fails += f
-    return checked, fails
+        if theorem == "uniform":
+            ambient = [(d, n // 2, complete_uniform(n, d, q)) for d in range((q - 1) * n + 1)]
+        else:
+            ambient = [(d, n - d, hamming_sphere(n, d, q)) for d in range(n + 1)]
+        slices = [(d, s_top, _subsets(u.points, rng, samples, max_size)) for d, s_top, u in ambient]
+    sized = [
+        (
+            {"n": n, "q": q, "d": d},
+            tuple(bound(theorem, n, d=d, s=s, q=q).value for s in range(s_top + 1)),
+            subsets,
+        )
+        for d, s_top, subsets in slices
+    ]
+    return _pmap(_check_size, ((p, limits, pts) for p, limits, subsets in sized for pts in subsets), jobs)
 
 
 _SUITES: dict[str, Callable[[dict], tuple[int, list[dict]]]] = {
@@ -752,7 +751,7 @@ def run_suite(name: str, **params) -> Report:
         checked=checked,
         failures=tuple(failures),
         elapsed_ms=elapsed_ms,
-        verdict=_verdict(failures),
+        verdict="fail" if failures else "pass",
     )
 
 

@@ -267,6 +267,24 @@ class TestNoHangOrExhaustion:
         assert proc.returncode == 0, proc.stderr
         assert "verdict: pass" in proc.stdout
 
+    def test_sampled_search_in_high_dimension(self):
+        # the q^n grid of search-km is drawn by index, and --max-size is honoured
+        argv = ["verify", "--suite", "search-km", "--n", "20", "--q", "3",
+                "--samples", "1", "--seed", "1", "--max-size", "3"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: pass" in proc.stdout
+
+    def test_sampled_blowup_refuses_past_the_cap(self):
+        # a sampled family flips one coin for each of the 2^n coordinate sets
+        argv = ["verify", "--suite", "blowup", "--n", "40", "--q", "3", "--samples", "1", "--seed", "1"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == "error: the 2^40 coordinate sets of a family exceed the cap of 1048576"
+
     @pytest.mark.parametrize(
         "extra, message",
         [

@@ -260,22 +260,6 @@ class TestFieldAndIndicator:
             assert p.degree() == q - 1
             assert p.evaluate((0,)) == 0
             assert all(p.evaluate((j,)) == 1 for j in range(1, q))
-
-    def test_indicator_cache_is_bounded(self):
-        cap = polyring._INDICATOR_CACHE_CAP
-        polyring._indicator.cache_clear()
-        try:
-            built = {q: indicator_polynomial(q) for q in range(2, cap + 7)}
-            info = polyring._indicator.cache_info()
-            assert info.maxsize == cap and info.currsize == cap
-            assert indicator_polynomial(cap + 6) is built[cap + 6]  # a hit
-            assert polyring._indicator.cache_info().hits == 1
-            for q in (2, 3, cap + 6):
-                fresh = polyring._indicator.__wrapped__(q)
-                assert fresh is not built[q]
-                assert indicator_polynomial(q) == fresh == built[q]
-        finally:
-            polyring._indicator.cache_clear()
         with pytest.raises(ValueError):
             indicator_polynomial(1)
 

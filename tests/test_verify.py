@@ -2,13 +2,16 @@
 
 import concurrent.futures
 import hashlib
+import importlib.util
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
 import shatterbasis.compress as compress
 import shatterbasis.verify as verify
+from shatterbasis.cli import dispatch
 from shatterbasis.closedform import BoundReport, sm_uniform_binary
 from shatterbasis.ideals import StandardMonomialSet, interpolate, vanishing_basis
 from shatterbasis.polyring import Monomial, TermOrder
@@ -19,6 +22,40 @@ from shatterbasis.verify import (
     oracle_diff,
     run_suite,
 )
+
+
+def _desk_scale_params() -> dict[str, dict]:
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_suites.py"
+    spec = importlib.util.spec_from_file_location("run_all_suites", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.desk_scale_params(7)
+
+
+DESK = _desk_scale_params()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand a serial stub in for ProcessPoolExecutor; the list it returns
+    collects the worker count each pool was asked for."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, k, mp_context):
+            pools.append(k)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
 
 
 class TestReport:
@@ -128,28 +165,39 @@ class TestSuiteOutcomes:
         assert serial.failures == parallel.failures
         assert parallel.verdict == "pass"
 
+    def test_forked_run_matches_serial(self, monkeypatch):
+        # every instance fails, so the records of both runs are compared
+        monkeypatch.setattr(verify, "bound", _zero_bound)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        params = dict(n=3, q=3, samples=40, seed=17)
+        serial = run_suite("search-km", **params).canonical()
+        forked = run_suite("search-km", **params, jobs=2).canonical()
+        assert serial["failures"]
+        assert forked == {**serial, "params": {**params, "jobs": 2}}
+
     @pytest.mark.parametrize("cpus, expected", [(2, [2]), (None, []), (64, [15])])
-    def test_workers_clamped_to_items_and_cpus(self, monkeypatch, cpus, expected):
-        pools = []
-
-        class SerialPool:
-            def __init__(self, k, mp_context):
-                pools.append(k)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_workers_clamped_to_items_and_cpus(self, monkeypatch, pool_sizes, cpus, expected):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         report = run_suite("sm-cardinality", n=2, q=2, jobs=5000)
-        assert pools == expected  # 15 items, jobs=5000; no pool below two workers
+        assert pool_sizes == expected  # 15 items, jobs=5000; no pool below two workers
         assert (report.checked, report.verdict) == (15, "pass")
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_suite_honours_jobs(self, monkeypatch, pool_sizes, name):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        serial = run_suite(name, **DESK[name]).canonical()
+        assert pool_sizes == []
+        parallel = run_suite(name, **DESK[name], jobs=2).canonical()
+        # the desk hamming-sharpness case (n = s + d) is a single instance;
+        # the two halves of shatter-certificates run one pool each
+        assert pool_sizes == {"hamming-sharpness": [], "shatter-certificates": [2, 2]}.get(name, [2])
+        assert parallel == {**serial, "params": {**DESK[name], "jobs": 2}}
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_suite_rejects_zero_jobs(self, capsys, name):
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in DESK[name].items()]
+        assert dispatch(["verify", "--suite", name, *flags, "--jobs", "0"]) == 2
+        assert capsys.readouterr().err == "error: suite parameter jobs=0 must be at least 1\n"
 
     def test_km_sharpness(self):
         report = run_suite("km-sharpness", n_max=3, s_max=1, q_max=3)
