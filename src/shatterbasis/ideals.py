@@ -12,16 +12,18 @@ so far is standard; a dependent candidate yields a monic generator whose
 tail is supported on the standard monomials below it.  The generators
 collected this way form the reduced Groebner basis of I(V).
 
-All linear algebra is exact.  A row is one primitive integer list: a
-vector on V followed by the integer weights that combine the evaluation
-vectors of the standard monomials found so far into that vector.  After
-each elimination step one gcd over the whole list strips its content; a
-division by a positive integer changes neither the row's span nor its
-signs, so vector and weights stay in step.  The rational generator
-coefficients come from one exact division at the end.  ``interpolate``
-shares this kernel: it reduces the integer-scaled value vector, with a
-tail of its own, against the same rows, and its coefficients come from
-the same single exact division.
+All linear algebra is exact.  A row is one primitive list of |V| + 1
+integers: a vector on V, less the pivot columns of the rows before it
+(where it is zero), followed by the integer weights that combine the
+evaluation vectors of the standard monomials found so far into that
+vector.  ``_reduce_against`` returns ``(residual, w)``: it keeps a
+candidate's own weight w as a scalar, deletes each pivot column once the
+step has cleared it, and strips the content of the residual and w with
+one gcd per step; a division by a positive integer changes neither span
+nor signs.  The rational generator coefficients come from one exact
+division at the end.  ``interpolate`` shares this kernel: reduced against
+all |V| rows, its value vector leaves only weights, divided once the same
+way.
 
 Evaluation on V is integer-only as well.  An evaluation table builds each
 monomial's vector on V once, as a parent's vector times a power of one
@@ -163,24 +165,29 @@ def _divides(a: Point, b: Point) -> bool:
     return all(map(operator.le, a, b))
 
 
-def _reduce_against(row: list[int], rows: list[tuple[int, list[int]]]) -> list[int]:
-    # Every row is zero at the pivots of all rows inserted before it, so a
-    # single pass in insertion order clears every pivot position for good.
-    # A candidate is at least as long as every row, so its entries past a
-    # row's end are only scaled.
+def _reduce_against(vec: list[int], rows: list[tuple[int, list[int]]]) -> tuple[list[int], int]:
+    # Row k holds |V| - k live columns and k + 1 weights.  With a zero weight
+    # for row k's monomial the candidate matches it; the step clears the
+    # pivot column, which is deleted.  The own weight w is only scaled.
+    row, w = list(vec), 1
     for pivot, r in rows:
+        row.append(0)
         b = row[pivot]
-        if not b:
-            continue
-        a = r[pivot]
-        g = math.gcd(a, b)
-        a //= g
-        b //= g
-        row = [a * x - b * y for x, y in zip(row, r)] + [a * x for x in row[len(r) :]]
-        g = math.gcd(*row)
-        if g > 1:
-            row = [x // g for x in row]
-    return row
+        if b:
+            a = r[pivot]
+            g = math.gcd(a, b)
+            a, b = (a // g, b // g) if a > 0 else (-a // g, -b // g)
+            if a == 1:
+                row = [x - b * y for x, y in zip(row, r)]
+            else:
+                row = [a * x - b * y for x, y in zip(row, r)]
+                w *= a
+            g = math.gcd(w, *row)
+            if g > 1:
+                w //= g
+                row = [x // g for x in row]
+        del row[pivot]
+    return row, w
 
 
 def _eliminate(
@@ -189,13 +196,14 @@ def _eliminate(
     """The elimination kernel for a nonempty V: the standard monomials,
     their rows and the reduced Groebner basis generators.
 
-    Row k is (pivot, row), and row is one primitive integer list: its first
-    |V| entries are a vector on V, and entry |V| + j is the weight of the
-    j-th standard monomial (j <= k) in the combination of evaluation
-    vectors that sums to that vector.  The row is zero at the pivots of
-    the rows before it.  A candidate enters as its evaluation vector, k
-    zeros and a weight of 1 for itself; if it reduces to a zero vector,
-    its tail, divided by its own weight, is the generator's tail.
+    Row k is (pivot, row), and row is one primitive list of |V| + 1
+    integers: a vector on the |V| - k live columns (those of V, in order,
+    that are not pivots of rows 0..k-1), then the weights of the standard
+    monomials 0..k whose evaluation vectors combine into the full vector,
+    which is zero off the live columns.  The pivot indexes the live
+    columns.  A candidate reduces to a residual (live entries, then k
+    weights) and its own weight w; a zero live part makes a generator with
+    tail weights / w, and otherwise the row is the residual then w.
 
     The candidates come from ``down_set`` in the order; its membership test
     records a row (a standard monomial, which the walk grows) or a generator.
@@ -212,14 +220,16 @@ def _eliminate(
             return False
         m = Monomial(expo)
         # expo's parent in the table divides it, so it is standard and already built
-        row = _reduce_against(table.vector(expo) + [0] * len(standard) + [1], rows)
-        pivot = next((i for i in range(size) if row[i]), None)
+        row, w = _reduce_against(table.vector(expo), rows)
+        live = size - len(rows)
+        pivot = next((i for i in range(live) if row[i]), None)
         if pivot is None:
-            terms = {s: Fraction(c, row[-1]) for s, c in zip(standard, row[size:]) if c}
+            terms = {s: Fraction(c, w) for s, c in zip(standard, row[live:]) if c}
             terms[m] = Fraction(1)
             generators.append(Polynomial(n, terms))
             leads.append(expo)
             return False
+        row.append(w)
         rows.append((pivot, row))
         standard.append(m)
         return True
@@ -267,12 +277,11 @@ def interpolate(
     standard, rows, _ = _eliminate(v, order)
     target = [Fraction(values[p]) for p in v.points]
     scale = math.lcm(*(y.denominator for y in target))
-    # The |V| rows have |V| distinct pivots, so the reduction clears the
-    # scaled values entirely: w * scale * y + sum_k tail[k] * eval(m_k) = 0,
-    # with w the weight in the row's last entry.
-    row = _reduce_against([int(y * scale) for y in target] + [0] * len(v) + [1], rows)
-    alpha = row[-1] * scale
-    return Polynomial(v.n, {s: Fraction(-c, alpha) for s, c in zip(standard, row[len(v) :]) if c})
+    # The |V| rows leave no live column, so the residual is all weights:
+    # w * scale * y + sum_k tail[k] * eval(m_k) = 0.
+    tail, w = _reduce_against([int(y * scale) for y in target], rows)
+    alpha = w * scale
+    return Polynomial(v.n, {s: Fraction(-c, alpha) for s, c in zip(standard, tail) if c})
 
 
 def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder) -> bool:

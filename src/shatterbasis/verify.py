@@ -47,6 +47,7 @@ from .tuples import (
     blow_up,
     classify,
     complete_uniform,
+    down_set,
     full_exponent_count,
     hamming_sphere,
     km_extremal,
@@ -160,7 +161,8 @@ def _subsets(
     max_size: int | None = None,
 ) -> Iterator[tuple]:
     """Every nonempty subset of the points, or, given an rng, `samples`
-    sorted draws, each of a uniform size in 1..max_size (default: all)."""
+    sorted draws, each of a uniform size in 1..max_size (default: all),
+    refused when that size could exceed the cap."""
     if rng is None:
         # 2^N - 1 subsets exceed the cap exactly when N reaches this bit length
         if len(points) >= (_EXHAUSTIVE_CAP + 1).bit_length():
@@ -172,6 +174,11 @@ def _subsets(
             yield from itertools.combinations(points, r)
         return
     top = len(points) if max_size is None else min(max_size, len(points))
+    if top > _EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"a sampled draw of up to {top} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
+            f"bound the draw with --max-size (max_size=)"
+        )
     for _ in range(samples):
         size = rng.randint(1, top)
         yield tuple(sorted(rng.sample(points, size)))
@@ -593,12 +600,15 @@ def _suite_km_sharpness(params: dict) -> tuple[int, list[dict]]:
 def _check_compress(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
-    # by default alon_compress checks no trace set above n = 4
-    every_set = [cs for r in range(n + 1) for cs in itertools.combinations(range(1, n + 1), r)]
+    # alon_compress keeps |W| = |V|, so a trace can grow only on a set where
+    # V's restriction is not injective; those sets form a down-set.  By
+    # default alon_compress checks no trace set above n = 4.
+    clashing = down_set(n, lambda u: len(v.restrictions(support(u))) < len(v), top=1)
+    trace_sets = sorted((sorted(support(u)) for u in clashing), key=lambda cs: (len(cs), cs))
     fails = []
     for order in _BOTH_ORDERS:
         try:
-            alon_compress(v, order, trace_sets=every_set)
+            alon_compress(v, order, trace_sets=trace_sets)
         except RuntimeError as exc:
             fails.append(
                 {

@@ -256,7 +256,8 @@ def run_limited(code):
 
 
 class TestNoHangOrExhaustion:
-    """Suites never list the q^n grid, and a dead worker ends the run."""
+    """Suites never list the q^n grid or all 2^n coordinate sets, refuse
+    draws past the cap, and a dead worker ends the run."""
 
     VERIFY = "import sys\nfrom shatterbasis.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n"
 
@@ -274,6 +275,29 @@ class TestNoHangOrExhaustion:
         proc = run_limited(self.VERIFY.format(argv=argv))
         assert proc.returncode == 0, proc.stderr
         assert "verdict: pass" in proc.stdout
+
+    def test_sampled_compress_in_high_dimension(self):
+        # only the coordinate sets where V's restriction is not injective
+        # are traced, not all 2^20
+        argv = ["verify", "--suite", "alon-compress", "--n", "20", "--q", "3",
+                "--samples", "1", "--seed", "1", "--max-size", "3"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict: pass" in proc.stdout
+
+    @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])
+    def test_sampled_draw_refuses_past_the_cap(self, suite):
+        # without --max-size one draw may hold up to all 3^20 grid points
+        argv = ["verify", "--suite", suite, "--n", "20", "--q", "3", "--samples", "1", "--seed", "1"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: a sampled draw of up to 3486784401 points exceeds the cap of 1048576"
+        )
+        assert "--max-size" in lines[0]
 
     def test_sampled_blowup_refuses_past_the_cap(self):
         # a sampled family flips one coin for each of the 2^n coordinate sets
@@ -419,8 +443,8 @@ class TestExitCodes:
 
     def test_engine_invariant_exits_one(self, capsys, tmp_path, monkeypatch):
         # every candidate reduces to zero, so the engine finds no standard monomial
-        def zero(row, rows):
-            return [0] * (len(row) - 1) + [1]
+        def zero(vec, rows):
+            return [0] * len(vec), 1
 
         monkeypatch.setattr("shatterbasis.ideals._reduce_against", zero)
         path = tmp_path / "v.txt"

@@ -193,12 +193,41 @@ def engine_inputs(seed, count):
     return [PointSet(5, 3, rng.sample(grid, size)) for size in sizes]
 
 
+def dense_reduce_against(row, rows):
+    """The dense elimination kernel the engine had before its rows were
+    compacted, kept as a reference: every row holds all |V| columns, then
+    one weight per standard monomial up to its own."""
+    for pivot, r in rows:
+        b = row[pivot]
+        if not b:
+            continue
+        a = r[pivot]
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
+        row = [a * x - b * y for x, y in zip(row, r)] + [a * x for x in row[len(r) :]]
+        g = math.gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+    return row
+
+
+def live_columns(rows, size):
+    """For each compacted row of _eliminate, the columns of V its live
+    entries stand for: all |V| less the pivots of the rows before it."""
+    columns = list(range(size))
+    for pivot, _ in rows:
+        yield list(columns)
+        del columns[pivot]
+
+
 def as_terms(g):
     return {m.exponents: c for m, c in g.items()}
 
 
 class TestEliminationRows:
-    """The integer rows of ``_eliminate``: vector on V, then combination weights."""
+    """The integer rows of ``_eliminate``: vector on the live columns of V,
+    then combination weights."""
 
     def test_bases_match_the_reference(self):
         # the reference solves dense Fraction systems, so only a few inputs
@@ -217,16 +246,37 @@ class TestEliminationRows:
                 size = len(v)
                 vectors = [[m.evaluate(p) for p in v.points] for m in standard]
                 assert len(rows) == size
-                for k, (pivot, row) in enumerate(rows):
-                    assert len(row) == size + k + 1
+                for k, ((pivot, row), columns) in enumerate(zip(rows, live_columns(rows, size))):
+                    live, weights = row[: size - k], row[size - k :]
+                    assert len(row) == size + 1 and len(weights) == k + 1
                     assert math.gcd(*row) == 1
-                    assert row[pivot] and not any(row[:pivot])
-                    assert all(row[earlier] == 0 for earlier, _ in rows[:k])
-                    assert row[-1] != 0
-                    rebuilt = [
-                        sum(w * vec[i] for w, vec in zip(row[size:], vectors)) for i in range(size)
-                    ]
-                    assert rebuilt == row[:size]
+                    assert pivot < size - k and live[pivot] and not any(live[:pivot])
+                    assert weights[-1] != 0
+                    rebuilt = [sum(w * vec[i] for w, vec in zip(weights, vectors)) for i in range(size)]
+                    assert [rebuilt[i] for i in columns] == live
+                    # and zero on the k dropped columns, the pivots of the rows before
+                    assert not any(rebuilt[i] for i in range(size) if i not in columns)
+
+    def test_rows_match_the_dense_kernel(self):
+        # each compacted row, re-expanded with zeros at its dropped pivot
+        # columns, is the row the dense kernel builds, up to sign
+        for v in engine_inputs(44, 4):
+            for order in (DEGLEX, LEX):
+                standard, rows, _ = _eliminate(v, order)
+                size = len(v)
+                dense: list[tuple[int, list[int]]] = []
+                for k, (m, (pivot, row), columns) in enumerate(
+                    zip(standard, rows, live_columns(rows, size))
+                ):
+                    vec = [m.evaluate(p) for p in v.points]
+                    expected = dense_reduce_against(vec + [0] * k + [1], dense)
+                    dense.append((next(i for i in range(size) if expected[i]), expected))
+                    assert columns[pivot] == dense[-1][0]
+                    full = [0] * size
+                    for i, x in zip(columns, row):
+                        full[i] = x
+                    full += row[size - k :]
+                    assert full in (expected, [-x for x in expected])
 
     def test_interpolate_against_evaluate(self):
         rng = random.Random(43)

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -263,12 +264,13 @@ class TestSuiteOutcomes:
             "actual": sorted(closed.exponent_vectors()),
         } in report.failures
 
-    def test_compress_checks_every_coordinate_set_above_n4(self, monkeypatch):
+    def test_compress_names_trace_sets_above_n4(self, monkeypatch):
         # alon_compress checks no trace set by default above n = 4, so the
-        # suite must name them; inflate the compressed trace on the full set
-        # (a compressed system is downward closed, most samples are not)
+        # suite must name the sets where a trace can grow; inflate the
+        # compressed trace on every set of n - 1 coordinates (a compressed
+        # system is downward closed, most samples are not)
         def inflated(v, coords):
-            grow = len(set(coords)) == v.n and compress.is_downward_closed(v)
+            grow = len(set(coords)) == v.n - 1 and compress.is_downward_closed(v)
             return len(v.restrictions(coords)) + grow
 
         monkeypatch.setattr(compress, "trace_size", inflated)
@@ -276,7 +278,26 @@ class TestSuiteOutcomes:
         assert report.verdict == "fail"
         assert report.failures
         for failure in report.failures:
-            assert failure["actual"].startswith("trace on [1, 2, 3, 4, 5] grew from ")
+            assert re.fullmatch(r"trace on \[\d, \d, \d, \d\] grew from \d+ to \d+", failure["actual"])
+
+    def test_compress_traces_exactly_the_non_injective_sets(self, monkeypatch):
+        # |W| = |V| is checked first, so a trace can grow only on a set
+        # where V's restriction is not injective; the suite passes those,
+        # in the (size, coordinates) order of the full list
+        seen = []
+
+        def record(v, order, trace_sets):
+            seen.append((v, trace_sets))
+
+        monkeypatch.setattr(verify, "alon_compress", record)
+        run_suite("alon-compress", n=2, q=3)
+        run_suite("alon-compress", n=3, q=3, samples=20, seed=5)
+        run_suite("alon-compress", n=4, q=2, samples=20, seed=6)
+        assert len(seen) == 2 * (511 + 20 + 20)
+        for v, trace_sets in seen:
+            every = [cs for r in range(v.n + 1) for cs in itertools.combinations(range(1, v.n + 1), r)]
+            expected = [list(cs) for cs in every if len(v.restrictions(cs)) < len(v)]
+            assert [list(cs) for cs in trace_sets] == expected
 
     def test_single_order_restriction(self):
         report = run_suite("blowup", n=2, q=3, order="lex")
