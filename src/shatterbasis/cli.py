@@ -23,12 +23,12 @@ from .polyring import TermOrder, leading_monomial, render_monomial, render_polyn
 from .tuples import (
     PointSet,
     SetFamily,
+    _shattered_vectors,
     blow_up,
     complete_uniform,
     hamming_sphere,
     km_extremal,
     lower_bound_slice,
-    shattered_family,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -182,9 +182,8 @@ def _cmd_gb(args: argparse.Namespace) -> int:
 
 def _cmd_shatter(args: argparse.Namespace) -> int:
     v = parse_tuples(_read_input(args.infile))
-    family = shattered_family(v)
-    chars = family.to_point_set()
-    log.info("%d shattered sets", len(family))
+    chars = PointSet(v.n, 2, _shattered_vectors(v))
+    log.info("%d shattered sets", len(chars))
     if args.format == "json":
         _emit_json([list(p) for p in chars])
     else:

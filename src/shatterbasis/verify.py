@@ -10,6 +10,7 @@ apart from its elapsed_ms field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -43,6 +44,7 @@ from .tuples import (
     Point,
     PointSet,
     SetFamily,
+    _shattered_vectors,
     ballot_member,
     blow_up,
     classify,
@@ -53,7 +55,6 @@ from .tuples import (
     km_extremal,
     lower_bound_slice,
     shatters,
-    shattered_family,
     support,
 )
 
@@ -243,7 +244,8 @@ def _check_size(item: tuple) -> tuple[int, list[dict]]:
 
 
 def _max_shattered(v: PointSet) -> int:
-    return max(len(s) for s in shattered_family(v)) if len(v) else -1
+    """The size of the largest set v shatters; -1 when v is empty."""
+    return max(map(sum, _shattered_vectors(v)), default=-1)
 
 
 # ---------------------------------------------------------------- suites
@@ -445,19 +447,64 @@ def _check_shatter_implication(item: tuple) -> tuple[int, list[dict]]:
     ]
 
 
+class _Unranked:
+    """The integers of range(total) outside the sorted list taken, in
+    increasing order and decoded, as a lazy sequence: random.choice reads
+    only its length and the one item it draws."""
+
+    def __init__(self, total: int, taken: list[int], decode: Callable[[int], tuple]) -> None:
+        self.total, self.taken, self.decode = total, taken, decode
+
+    def __len__(self) -> int:
+        return self.total - len(self.taken)
+
+    def __getitem__(self, k: int) -> tuple:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        for t in self.taken:
+            if t > k:
+                break
+            k += 1
+        return self.decode(k)
+
+
+def _set_rank(n: int, cs: Sequence[int]) -> int:
+    """The index of the nonempty sorted coordinate set cs among all nonempty
+    subsets of 1..n in (size, lex) order, the order of
+    itertools.combinations over increasing sizes."""
+    r = len(cs)
+    before = sum(comb(n, j) for j in range(1, r))
+    return before + comb(n, r) - 1 - sum(comb(n - c, r - j) for j, c in enumerate(cs))
+
+
+def _unrank_set(k: int, n: int) -> tuple[int, ...]:
+    """The coordinate set of index k in the order of _set_rank."""
+    r = 1
+    while k >= comb(n, r):
+        k -= comb(n, r)
+        r += 1
+    cs, c = [], 0
+    for left in range(r, 0, -1):
+        c += 1
+        while k >= comb(n - c, left - 1):
+            k -= comb(n - c, left - 1)
+            c += 1
+        cs.append(c)
+    return tuple(cs)
+
+
 def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_size: int) -> Iterator[tuple]:
     """Per drawn V, a coordinate set V does not shatter and a witness point
-    whose pattern on it V misses, all drawn from rng in turn."""
+    whose pattern on it V misses, all drawn from rng in turn.  Both are
+    drawn from lazy sequences of the 2^n - |Sh(V)| non-shattered sets and
+    of the missing patterns in lex order, so neither all coordinate sets
+    nor all q^|cs| patterns are listed."""
     for pts in _grid_subsets(n, q, rng, samples, max_size):
         v = PointSet(n, q, pts)
-        candidates = [
-            cs
-            for r in range(1, n + 1)
-            for cs in itertools.combinations(range(1, n + 1), r)
-            if not shatters(v, cs)
-        ]
-        cs = rng.choice(candidates)
-        missing = sorted(set(itertools.product(range(q), repeat=len(cs))) - v.restrictions(cs))
+        shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(v) if any(u))
+        cs = rng.choice(_Unranked(2**n - 1, shattered, functools.partial(_unrank_set, n=n)))
+        present = sorted({functools.reduce(lambda code, c: code * q + c, r, 0) for r in v.restrictions(cs)})
+        missing = _Unranked(q ** len(cs), present, functools.partial(_grid_point, n=len(cs), q=q))
         witness = [0] * n
         for c, value in zip(cs, rng.choice(missing)):
             witness[c - 1] = value

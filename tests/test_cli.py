@@ -1,7 +1,9 @@
 """Tuple-file parsing and the command-line surface, through dispatch()."""
 
+import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import shatterbasis.verify
 from shatterbasis.cli import dispatch, parse_tuples, render_tuples
 from shatterbasis.ideals import vanishing_basis
 from shatterbasis.polyring import TermOrder, parse_polynomial
-from shatterbasis.tuples import PointSet, complete_uniform, hamming_sphere, shattered_family
+from shatterbasis.tuples import PointSet, complete_uniform, hamming_sphere, shattered_family, shatters
 
 
 @st.composite
@@ -284,6 +286,41 @@ class TestNoHangOrExhaustion:
         proc = run_limited(self.VERIFY.format(argv=argv))
         assert proc.returncode == 0, proc.stderr
         assert "verdict: pass" in proc.stdout
+
+    @pytest.mark.parametrize("n", ["20", "24"])
+    def test_sampled_certificates_in_high_dimension(self, n):
+        # the non-shattered set and its missing pattern are unranked, so
+        # neither the 2^n coordinate sets nor the 3^|cs| patterns are
+        # listed; listing the 2^24 sets alone overruns the 1.5 GB cap
+        argv = ["verify", "--suite", "shatter-certificates", "--n", n, "--q", "3",
+                "--samples", "0", "--cert-samples", "1", "--seed", "1", "--max-size", "3"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 0, proc.stderr
+        assert "checked: 1" in proc.stdout
+        assert "verdict: pass" in proc.stdout
+
+    def test_certificate_draw_of_a_large_set_matches_a_brute_listing(self):
+        # seed 10102 draws a 15-element set at n=16; the listing below is
+        # the one the lazy sequences replace, and consumes rng the same way
+        n, q, seed = 16, 2, 10102
+        brute_rng = random.Random(seed)
+        pts = next(shatterbasis.verify._grid_subsets(n, q, brute_rng, 1, 3))
+        v = PointSet(n, q, pts)
+        candidates = [
+            cs
+            for r in range(1, n + 1)
+            for cs in itertools.combinations(range(1, n + 1), r)
+            if not shatters(v, cs)
+        ]
+        cs = brute_rng.choice(candidates)
+        missing = sorted(set(itertools.product(range(q), repeat=len(cs))) - v.restrictions(cs))
+        pattern = brute_rng.choice(missing)
+        witness = [0] * n
+        for c, value in zip(cs, pattern):
+            witness[c - 1] = value
+        draws = shatterbasis.verify._certificate_draws(n, q, random.Random(seed), 1, 3)
+        assert list(draws) == [(n, q, pts, cs, witness)]
+        assert len(cs) >= 15
 
     @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])
     def test_sampled_draw_refuses_past_the_cap(self, suite):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import reference_ballot, reference_shattered_sets, reference_shatters
+from shatterbasis import verify
 from shatterbasis.polyring import Monomial, TermOrder
 from shatterbasis.tuples import (
     EmptyPointSetError,
     PointSet,
     SetFamily,
+    _shattered_vectors,
     ballot_member,
     blow_up,
     classify,
@@ -170,6 +173,55 @@ class TestShattering:
         for r in range(3):
             for cs in itertools.combinations(range(1, 3), r):
                 assert shatters(v, cs) == reference_shatters(v.points, v.q, cs)
+
+
+def random_system(rng, n, q, size):
+    pts = set()
+    while len(pts) < size:
+        pts.add(tuple(rng.randrange(q) for _ in range(n)))
+    return PointSet(n, q, pts)
+
+
+class TestShatteredWalk:
+    """The pattern-code walk behind shattered_family, against the one-set
+    test shatters and the reference oracle."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_membership_equals_shatters_on_every_set(self, q):
+        rng = random.Random(1000 + q)
+        for n in range(1, 6):
+            for _ in range(8):
+                v = random_system(rng, n, q, rng.randint(1, min(q**n, 90)))
+                family = shattered_family(v)
+                for r in range(n + 1):
+                    for cs in itertools.combinations(range(1, n + 1), r):
+                        assert (set(cs) in family) == shatters(v, cs), (v.points, cs)
+
+    @pytest.mark.parametrize("n, q", [(8, 2), (9, 2), (10, 2), (11, 2), (12, 2), (13, 2), (10, 3)])
+    def test_wide_shapes_match_reference(self, n, q):
+        rng = random.Random(n * 10 + q)
+        for _ in range(2):
+            v = random_system(rng, n, q, rng.randint(10, 30))
+            expected = reference_shattered_sets(v.points, q)
+            assert set(shattered_family(v)) == expected
+            assert verify._max_shattered(v) == max(map(len, expected))
+
+    def test_max_shattered_of_an_empty_system(self):
+        assert list(_shattered_vectors(PointSet(3, 2))) == []
+        assert verify._max_shattered(PointSet(3, 2)) == -1
+
+    def test_walk_releases_parent_codes(self):
+        # every set of {0,1}^12 is shattered; keeping each member's 4096
+        # codes would hold about 150 MiB, the path from the root far less
+        v = PointSet(12, 2, itertools.product(range(2), repeat=12))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in _shattered_vectors(v))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**12
+        assert peak < 8 * 2**20
 
 
 class TestDownSet:
