@@ -11,6 +11,7 @@ Logging goes to stderr and is controlled by SHATTER_BASIS_LOG={error,info,debug}
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ import sys
 
 from .closedform import BOUND_NAMES, bound
 from .compress import alon_compress
-from .ideals import certify_groebner, vanishing_basis
+from .ideals import certify_groebner, standard_monomials, vanishing_basis
 from .polyring import TermOrder, leading_monomial, render_monomial, render_polynomial
 from .tuples import (
     PointSet,
@@ -159,7 +160,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_sm(args: argparse.Namespace) -> int:
     v = parse_tuples(_read_input(args.infile))
     order = _order(args)
-    _, sm = vanishing_basis(v, order)  # ascending in the order
+    sm = standard_monomials(v, order)  # ascending in the order
     log.info("%d standard monomials for %d tuples", len(sm), len(v))
     if args.format == "json":
         _emit_json([list(m.exponents) for m in sm])
@@ -323,34 +324,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(construct, "n", "d", "s", "q")
     construct.add_argument("--in", dest="infile", default=None, metavar="FILE")
     _add_common(construct, order=False)
-    construct.set_defaults(handler=_cmd_construct)
 
-    for name, handler, needs_order in (
-        ("sm", _cmd_sm, True),
-        ("gb", _cmd_gb, True),
-        ("shatter", _cmd_shatter, False),
-        ("certify", _cmd_certify, True),
-        ("compress", _cmd_compress, True),
+    for name, needs_order in (
+        ("sm", True),
+        ("gb", True),
+        ("shatter", False),
+        ("certify", True),
+        ("compress", True),
     ):
         sub = commands.add_parser(name, help=f"{name} of the system in --in")
         sub.add_argument("--in", dest="infile", required=True, metavar="FILE")
         _add_common(sub, order=needs_order)
-        sub.set_defaults(handler=handler)
 
     bounds = commands.add_parser("bounds", help="evaluate a named bound")
     bounds.add_argument("--name", choices=BOUND_NAMES, required=True)
     _add_params(bounds, "n", "d", "s", "q")
     _add_common(bounds, order=False)
-    bounds.set_defaults(handler=_cmd_bounds)
 
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     _add_params(verify, *_SUITE_PARAM_FLAGS)
     verify.add_argument("--jobs", type=int, default=1)
     _add_common(verify)
-    verify.set_defaults(handler=_cmd_verify)
 
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building takes far longer than one parse
+    return build_parser()
 
 
 def _configure_logging() -> None:
@@ -366,14 +369,15 @@ def _configure_logging() -> None:
 def dispatch(argv=None) -> int:
     """Run one invocation; returns the process exit code instead of exiting."""
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # looked up at call time, not kept in the shared parser
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .ideals import vanishing_basis
+from .ideals import standard_monomials
 from .polyring import TermOrder
 from .tuples import PointSet
 
@@ -67,7 +67,7 @@ def alon_compress(
     bad system.  With trace_sets=None all coordinate sets are checked in
     dimension up to 4 and none beyond.
     """
-    _, sm = vanishing_basis(v, order)
+    sm = standard_monomials(v, order)
     w = PointSet(v.n, v.q, sm.exponent_vectors())
 
     if len(w) != len(v):

@@ -12,6 +12,10 @@ so far is standard; a dependent candidate yields a monic generator whose
 tail is supported on the standard monomials below it.  The generators
 collected this way form the reduced Groebner basis of I(V).
 
+Callers that read only the normal set skip the basis:
+``standard_monomials`` keeps no combination weights in deglex, and in lex
+needs no linear algebra at all (the Cerlienco-Mureddu recursion).
+
 All linear algebra is exact.  A row is one primitive list of |V| + 1
 integers: a vector on V, less the pivot columns of the rows before it
 (where it is zero), followed by the integer weights that combine the
@@ -21,9 +25,11 @@ candidate's own weight w as a scalar, deletes each pivot column once the
 step has cleared it, and strips the content of the residual and w with
 one gcd per step; a division by a positive integer changes neither span
 nor signs.  The rational generator coefficients come from one exact
-division at the end.  ``interpolate`` shares this kernel: reduced against
-all |V| rows, its value vector leaves only weights, divided once the same
-way.
+division at the end, in ``vanishing_basis`` alone.  ``interpolate``
+shares this kernel: reduced against all |V| rows, its value vector leaves
+only weights, divided once the same way.  Rows kept without weights hold
+only their live entries; ``_reduce_against`` combines them unchanged,
+since ``zip`` drops the weight positions.
 
 Evaluation on V is integer-only as well.  An evaluation table builds each
 monomial's vector on V once, as a parent's vector times a power of one
@@ -37,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -191,10 +198,10 @@ def _reduce_against(vec: list[int], rows: list[tuple[int, list[int]]]) -> tuple[
 
 
 def _eliminate(
-    v: PointSet, order: TermOrder
-) -> tuple[list[Monomial], list[tuple[int, list[int]]], list[Polynomial]]:
+    v: PointSet, order: TermOrder, weights: bool = True
+) -> tuple[list[Monomial], list[tuple[int, list[int]]], list[tuple[Point, list[int], int]]]:
     """The elimination kernel for a nonempty V: the standard monomials,
-    their rows and the reduced Groebner basis generators.
+    their rows and the data of the reduced Groebner basis generators.
 
     Row k is (pivot, row), and row is one primitive list of |V| + 1
     integers: a vector on the |V| - k live columns (those of V, in order,
@@ -202,8 +209,13 @@ def _eliminate(
     monomials 0..k whose evaluation vectors combine into the full vector,
     which is zero off the live columns.  The pivot indexes the live
     columns.  A candidate reduces to a residual (live entries, then k
-    weights) and its own weight w; a zero live part makes a generator with
-    tail weights / w, and otherwise the row is the residual then w.
+    weights) and its own weight w; a zero live part makes a generator,
+    recorded as (lead exponents, weights, w), whose tail is weights / w;
+    otherwise the row is the residual then w.
+
+    With weights=False a row is only its |V| - k live entries, made
+    primitive, and no generator is recorded: the walk finds the normal
+    set alone.
 
     The candidates come from ``down_set`` in the order; its membership test
     records a row (a standard monomial, which the walk grows) or a generator.
@@ -212,32 +224,73 @@ def _eliminate(
     table = _EvaluationTable(v)
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int]]] = []
-    generators: list[Polynomial] = []
+    generators: list[tuple[Point, list[int], int]] = []
     leads: list[Point] = []
 
     def independent(expo: Point) -> bool:
         if any(_divides(lead, expo) for lead in leads):
             return False
-        m = Monomial(expo)
         # expo's parent in the table divides it, so it is standard and already built
         row, w = _reduce_against(table.vector(expo), rows)
         live = size - len(rows)
         pivot = next((i for i in range(live) if row[i]), None)
         if pivot is None:
-            terms = {s: Fraction(c, w) for s, c in zip(standard, row[live:]) if c}
-            terms[m] = Fraction(1)
-            generators.append(Polynomial(n, terms))
             leads.append(expo)
+            if weights:
+                generators.append((expo, row[live:], w))
             return False
-        row.append(w)
+        if weights:
+            row.append(w)
+        else:
+            # the residual's trailing entries are zero, and w took part in its gcds
+            del row[live:]
+            g = math.gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
         rows.append((pivot, row))
-        standard.append(m)
+        standard.append(Monomial(expo))
         return True
 
     found = sum(1 for _ in down_set(n, independent, key=order._key))
     if found != size:
         raise RuntimeError(f"engine error: found {found} standard monomials for {size} points")
     return standard, rows, generators
+
+
+def _normal_set(v: PointSet, order: TermOrder) -> StandardMonomialSet:
+    """The standard monomials of I(V) for a nonempty V from the elimination
+    walk, with rows kept without weights, in either order."""
+    return StandardMonomialSet(order, tuple(_eliminate(v, order, weights=False)[0]))
+
+
+def _lex_standard(points: Sequence[Point]) -> list[Point]:
+    """The lex standard monomials of the nonempty distinct points, x1 most
+    significant, as exponent tuples sorted ascending.
+
+    The Cerlienco-Mureddu recursion (the lex game of Felszeghy, Rath and
+    Ronyai): let U_k be the projections of V away from x1 whose fibre has
+    more than k points; then SM(V) is the disjoint union over k of
+    x1^k * SM(U_k).  Each U_k is nonempty for k below the largest fibre.
+    """
+    if not points[0]:
+        return [()]
+    fibres = Counter(p[1:] for p in points)
+    out: list[Point] = []
+    for k in range(max(fibres.values())):
+        out += [(k, *e) for e in _lex_standard([u for u, c in fibres.items() if c > k])]
+    return out
+
+
+def standard_monomials(v: PointSet, order: TermOrder = TermOrder.DEGLEX) -> StandardMonomialSet:
+    """The standard monomials of I(V), sorted ascending, without its
+    Groebner basis: the Cerlienco-Mureddu recursion in lex, and the
+    elimination walk with rows kept without weights in deglex.  They equal
+    ``vanishing_basis(v, order)[1]``."""
+    if not len(v):
+        raise EmptyPointSetError("the vanishing ideal of the empty set is the whole ring")
+    if order is TermOrder.LEX:
+        return StandardMonomialSet(order, tuple(map(Monomial, _lex_standard(v.points))))
+    return _normal_set(v, order)
 
 
 def vanishing_basis(
@@ -252,7 +305,12 @@ def vanishing_basis(
     """
     if not len(v):
         raise EmptyPointSetError("the vanishing ideal of the empty set is the whole ring")
-    standard, _, generators = _eliminate(v, order)
+    standard, _, tails = _eliminate(v, order)
+    generators = []
+    for expo, weights, w in tails:
+        terms = {s: Fraction(c, w) for s, c in zip(standard, weights) if c}
+        terms[Monomial(expo)] = Fraction(1)
+        generators.append(Polynomial(v.n, terms))
     return (
         GroebnerBasis(order, tuple(generators)),
         StandardMonomialSet(order, tuple(standard)),

@@ -35,9 +35,10 @@ from .compress import alon_compress
 from .ideals import (
     StandardMonomialSet,
     _first_nonzero,
+    _normal_set,
     certify_groebner,
     non_shatter_certificate,
-    vanishing_basis,
+    standard_monomials,
 )
 from .polyring import Monomial, TermOrder, leading_monomial
 from .tuples import (
@@ -212,7 +213,7 @@ def _diff_closed_form(
     from the engine's normal set of I(v)."""
     fails = []
     for order in orders:
-        brute = vanishing_basis(v, order)[1].exponent_vectors()
+        brute = _normal_set(v, order).exponent_vectors()
         got = closed(order).exponent_vectors()
         if got != brute:
             fails.append(
@@ -271,7 +272,7 @@ def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
     v = PointSet(n, q, pts)
     fails = []
     for order in _BOTH_ORDERS:
-        _, sm = vanishing_basis(v, order)
+        sm = _normal_set(v, order)
         if len(sm) != len(v):
             fails.append(
                 {
@@ -280,11 +281,27 @@ def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
                     "actual": len(sm),
                 }
             )
+        elif order is TermOrder.LEX:
+            # a third route: the recursion, which solves no linear system
+            got = standard_monomials(v, order)
+            if got != sm:
+                fails.append(
+                    {
+                        "params": {
+                            "points": [list(p) for p in pts],
+                            "order": order.value,
+                            "route": "recursion",
+                        },
+                        "expected": sorted(sm.exponent_vectors()),
+                        "actual": sorted(got.exponent_vectors()),
+                    }
+                )
     return 1, fails
 
 
 def _suite_sm_cardinality(params: dict) -> tuple[int, list[dict]]:
-    """|standard monomials| == |V| for subsets of the full grid, both orders."""
+    """|standard monomials| == |V| for subsets of the full grid, both orders;
+    in lex the recursion must also find the elimination's normal set."""
     return _grid_subset_suite(_check_cardinality, params)
 
 
@@ -406,7 +423,7 @@ def _check_uniform_ballot(item: tuple) -> tuple[int, list[dict]]:
     fails = []
     u = complete_uniform(n, d, q)
     for order in _BOTH_ORDERS:
-        _, sm = vanishing_basis(u, order)
+        sm = _normal_set(u, order)
         bad = [m.exponents for m in sm if not ballot_member(m.exponents, q)]
         if bad:
             fails.append(
@@ -431,7 +448,7 @@ def _suite_uniform_ballot(params: dict) -> tuple[int, list[dict]]:
 def _check_shatter_implication(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
-    _, sm = vanishing_basis(v, TermOrder.DEGLEX)
+    sm = _normal_set(v, TermOrder.DEGLEX)
     full_powers = sorted(
         (sorted(support(e)) for e in sm.exponent_vectors() if any(e) and set(e) <= {0, q - 1}),
         key=lambda cs: (len(cs), cs),
@@ -498,11 +515,17 @@ def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_siz
     whose pattern on it V misses, all drawn from rng in turn.  Both are
     drawn from lazy sequences of the 2^n - |Sh(V)| non-shattered sets and
     of the missing patterns in lex order, so neither all coordinate sets
-    nor all q^|cs| patterns are listed."""
+    nor all q^|cs| patterns are listed.  The certificate on cs expands into
+    up to q^|cs| terms, so a drawn cs past the cap is refused."""
     for pts in _grid_subsets(n, q, rng, samples, max_size):
         v = PointSet(n, q, pts)
         shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(v) if any(u))
         cs = rng.choice(_Unranked(2**n - 1, shattered, functools.partial(_unrank_set, n=n)))
+        if q ** len(cs) > _EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"the certificate on the {len(cs)} drawn coordinates {list(cs)} expands into up to "
+                f"{q}^{len(cs)} terms, past the cap of {_EXHAUSTIVE_CAP}; use a smaller --n (n=)"
+            )
         present = sorted({functools.reduce(lambda code, c: code * q + c, r, 0) for r in v.restrictions(cs)})
         missing = _Unranked(q ** len(cs), present, functools.partial(_grid_point, n=len(cs), q=q))
         witness = [0] * n
@@ -731,7 +754,7 @@ def _suite_sm_slice(params: dict) -> tuple[int, list[dict]]:
         for d in range((q - 1) * n + 1):
             u = complete_uniform(n, d, q)
             counts = [0] * (n + 1)
-            for m in vanishing_basis(u, TermOrder.DEGLEX)[1]:
+            for m in _normal_set(u, TermOrder.DEGLEX):
                 counts[full_exponent_count(m, q)] += 1
             # limits[s]: the standard monomials with at most s full exponents
             yield {"n": n, "d": d, "q": q}, tuple(itertools.accumulate(counts)), _subsets(u.points)

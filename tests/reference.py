@@ -135,6 +135,37 @@ def reference_shattered_sets(points, q):
     return set(out)
 
 
+def reference_order_shattered(points):
+    """The coordinate sets S of 1..n that the 0/1 points order-shatter,
+    as frozensets, from the recursive definition of Anstee, Ronyai and
+    Sali ("Shattering news", 2002).
+
+    The empty set is order-shattered by any nonempty family.  A nonempty S
+    with largest element s is order-shattered by F if some pattern T on
+    the coordinates above s leaves two subfamilies, the members that match
+    T and hold 0 at s and those that match T and hold 1 at s, which, cut
+    down to the coordinates below s, both order-shatter S less s.
+    """
+    n = len(points[0])
+
+    def order_shatters(family, coords):
+        if not coords:
+            return bool(family)
+        s = coords[-1]
+        for pattern in {p[s:] for p in family}:
+            halves = [[p[: s - 1] for p in family if p[s:] == pattern and p[s - 1] == bit] for bit in (0, 1)]
+            if all(order_shatters(half, coords[:-1]) for half in halves):
+                return True
+        return False
+
+    return {
+        frozenset(coords)
+        for r in range(n + 1)
+        for coords in combinations(range(1, n + 1), r)
+        if order_shatters(list(points), coords)
+    }
+
+
 def reference_ballot(values, q):
     full = 0
     for index, value in enumerate(values, start=1):

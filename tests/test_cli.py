@@ -299,6 +299,17 @@ class TestNoHangOrExhaustion:
         assert "checked: 1" in proc.stdout
         assert "verdict: pass" in proc.stdout
 
+    def test_oversized_certificate_is_refused(self):
+        # seed 4 draws a 17-element set at n=30, whose certificate would
+        # expand into 3^17 terms; the draw is refused before any expansion
+        argv = ["verify", "--suite", "shatter-certificates", "--n", "30", "--q", "3",
+                "--samples", "0", "--cert-samples", "1", "--seed", "4", "--max-size", "3"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "3^17" in proc.stderr
+
     def test_certificate_draw_of_a_large_set_matches_a_brute_listing(self):
         # seed 10102 draws a 15-element set at n=16; the listing below is
         # the one the lazy sequences replace, and consumes rng the same way
@@ -471,10 +482,21 @@ class TestExitCodes:
         def boom(v, order):
             raise RuntimeError("engine invariant violated")
 
-        monkeypatch.setattr("shatterbasis.cli.vanishing_basis", boom)
+        monkeypatch.setattr("shatterbasis.cli.standard_monomials", boom)
         path = tmp_path / "v.txt"
         path.write_text("1 2\n0\n")
         code, _, err = run_cli(capsys, "sm", "--in", str(path))
+        assert code == 1
+        assert "engine invariant" in err
+
+    def test_internal_error_in_gb_exits_one(self, capsys, tmp_path, monkeypatch):
+        def boom(v, order):
+            raise RuntimeError("engine invariant violated")
+
+        monkeypatch.setattr("shatterbasis.cli.vanishing_basis", boom)
+        path = tmp_path / "v.txt"
+        path.write_text("1 2\n0\n")
+        code, _, err = run_cli(capsys, "gb", "--in", str(path))
         assert code == 1
         assert "engine invariant" in err
 
@@ -505,6 +527,26 @@ class TestExitCodes:
         _, second, _ = run_cli(capsys, "gb", "--in", sphere_file, "--format", "json")
         assert first == second
 
+
+    def test_parser_is_built_once_and_reused(self, capsys, monkeypatch, sphere_file):
+        # a parse leaves nothing behind in the shared parser: an unset flag
+        # after a set one, and a call after a usage error, read as on a fresh one
+        calls = [
+            ("sm", "--in", sphere_file, "--order", "lex"),
+            ("sm", "--in", sphere_file),
+            ("verify", "--suite", "nope"),
+            ("gb", "--in", sphere_file, "--format", "json"),
+            ("bounds", "--name", "sauer", "--n", "6", "--s", "2"),
+            ("certify", "--in", sphere_file, "--format", "json"),
+            ("sm", "--in", sphere_file, "--format", "json"),
+        ]
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        assert reused[0][1] != reused[1][1]
+        assert shatterbasis.cli._parser() is shatterbasis.cli._parser()
+        assert shatterbasis.cli._parser.cache_info().maxsize == 1
+        monkeypatch.setattr(shatterbasis.cli, "_parser", shatterbasis.cli.build_parser)
+        assert [run_cli(capsys, *argv) for argv in calls] == reused
+        assert shatterbasis.cli.build_parser() is not shatterbasis.cli.build_parser()
 
 class TestEntryPoints:
     def test_module_invocation(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import box, deglex_key, lex_key, reference_basis, reference_sm
+from reference import box, deglex_key, lex_key, reference_basis, reference_order_shattered, reference_sm
 from shatterbasis.closedform import gb_blowup
 from shatterbasis.ideals import (
     _eliminate,
@@ -17,6 +17,7 @@ from shatterbasis.ideals import (
     certify_groebner,
     interpolate,
     non_shatter_certificate,
+    standard_monomials,
     vanishing_basis,
 )
 from shatterbasis.polyring import (
@@ -89,6 +90,7 @@ class TestVanishingBasisProperties:
         for order in (DEGLEX, LEX):
             _, sm = vanishing_basis(v, order)
             assert sm.exponent_vectors() == reference_sm(v.points, v.q, KEYS[order])
+            assert standard_monomials(v, order) == sm
 
     @given(point_sets(3, 2))
     @settings(max_examples=40, deadline=None)
@@ -96,6 +98,7 @@ class TestVanishingBasisProperties:
         for order in (DEGLEX, LEX):
             _, sm = vanishing_basis(v, order)
             assert sm.exponent_vectors() == reference_sm(v.points, v.q, KEYS[order])
+            assert standard_monomials(v, order) == sm
 
     @given(point_sets(3, 3, max_size=14))
     @settings(max_examples=30, deadline=None)
@@ -287,6 +290,57 @@ class TestEliminationRows:
                 assert all(f.evaluate(p) == values[p] for p in v.points)
                 _, sm = vanishing_basis(v, order)
                 assert set(f.monomials()) <= sm.as_set()
+
+
+class TestStandardMonomials:
+    """The basis-free route: the lex recursion and the weight-free walk.
+    TestVanishingBasisProperties also checks it against the engine and
+    the reference oracle on two- and three-variable systems."""
+
+    @given(point_sets(3, 3, max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_reference_in_three_variables(self, v):
+        for order in (DEGLEX, LEX):
+            assert standard_monomials(v, order).exponent_vectors() == reference_sm(
+                v.points, v.q, KEYS[order]
+            )
+
+    def test_matches_the_engine_on_engine_inputs(self):
+        for v in engine_inputs(45, 6):
+            for order in (DEGLEX, LEX):
+                sm = standard_monomials(v, order)
+                assert sm == vanishing_basis(v, order)[1]
+                assert list(sm) == sorted(sm, key=order.key)
+
+    @given(point_sets(4, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_binary_lex_normal_set_is_the_order_shattered_sets(self, v):
+        # Anstee, Ronyai and Sali: at q=2 with x1 most significant, x_S is a
+        # lex standard monomial iff V order-shatters S
+        sets = {frozenset(i + 1 for i, e in enumerate(m.exponents) if e) for m in standard_monomials(v, LEX)}
+        assert sets == reference_order_shattered(v.points)
+
+    def test_empty_rejected(self):
+        for order in (DEGLEX, LEX):
+            with pytest.raises(EmptyPointSetError):
+                standard_monomials(PointSet(2, 2, []), order)
+
+    def test_weight_free_rows(self):
+        # row k keeps only its |V| - k live entries, primitive: the live part
+        # of the weighted row with its content stripped
+        for v in engine_inputs(46, 4):
+            for order in (DEGLEX, LEX):
+                standard, rows, generators = _eliminate(v, order)
+                free_standard, free_rows, free_generators = _eliminate(v, order, weights=False)
+                size = len(v)
+                assert free_standard == standard and free_generators == []
+                assert len(generators) == len(vanishing_basis(v, order)[0])
+                for k, ((pivot, row), (free_pivot, free)) in enumerate(zip(rows, free_rows)):
+                    assert len(free) == size - k and math.gcd(*free) == 1
+                    assert free_pivot == pivot
+                    live = row[: size - k]
+                    g = math.gcd(*live)
+                    assert free == [x // g for x in live]
 
 
 class TestCertifyGroebner:

@@ -16,7 +16,7 @@ from shatterbasis.cli import dispatch
 from shatterbasis.closedform import BoundReport, sm_uniform_binary
 from shatterbasis.ideals import StandardMonomialSet, interpolate, vanishing_basis
 from shatterbasis.polyring import Monomial, TermOrder
-from shatterbasis.tuples import complete_uniform
+from shatterbasis.tuples import PointSet, complete_uniform
 from shatterbasis.verify import (
     SUITE_NAMES,
     counterexample_search,
@@ -264,6 +264,27 @@ class TestSuiteOutcomes:
             "actual": sorted(closed.exponent_vectors()),
         } in report.failures
 
+    def test_lex_recursion_mismatch_record(self, monkeypatch):
+        # the recursion is a third route: a wrong lex normal set from it fails
+        # the instance in lex alone, against the elimination's normal set
+        def drop_last(v, order=TermOrder.DEGLEX):
+            sm = vanishing_basis(v, order)[1]
+            return StandardMonomialSet(order, sm.monomials[:-1])
+
+        monkeypatch.setattr(verify, "standard_monomials", drop_last)
+        report = run_suite("sm-cardinality", n=2, q=2)
+        assert report.verdict == "fail"
+        assert len(report.failures) == report.checked == 15
+        assert {f["params"]["order"] for f in report.failures} == {"lex"}
+        assert {f["params"]["route"] for f in report.failures} == {"recursion"}
+        pts = [(0, 1), (1, 0), (1, 1)]
+        engine = vanishing_basis(PointSet(2, 2, pts), TermOrder.LEX)[1]
+        assert {
+            "params": {"points": [list(p) for p in pts], "order": "lex", "route": "recursion"},
+            "expected": sorted(engine.exponent_vectors()),
+            "actual": sorted(engine.exponent_vectors())[:-1],
+        } in report.failures
+
     def test_compress_names_trace_sets_above_n4(self, monkeypatch):
         # alon_compress checks no trace set by default above n = 4, so the
         # suite must name the sets where a trace can grow; inflate the
@@ -326,12 +347,12 @@ class TestWrappers:
 
 
 def _no_normal_set(v, order=TermOrder.DEGLEX):
-    return None, StandardMonomialSet(order, ())
+    return StandardMonomialSet(order, ())
 
 
 def _every_exponent_standard(v, order=TermOrder.DEGLEX):
     grid = itertools.product(range(v.q), repeat=v.n)
-    return None, StandardMonomialSet(order, tuple(Monomial(e) for e in grid))
+    return StandardMonomialSet(order, tuple(Monomial(e) for e in grid))
 
 
 def _compress_fails(v, order=TermOrder.DEGLEX, trace_sets=None):
@@ -354,7 +375,7 @@ class TestSampledDrawPins:
             (
                 "sm-cardinality",
                 dict(n=3, q=3, samples=6, max_size=8, seed=3),
-                {"vanishing_basis": _no_normal_set},
+                {"_normal_set": _no_normal_set},
                 "83d95e3ed5c54dac43a14ee8042636ccba7f9085a86ade091f354796368a5d52",
             ),
             (
@@ -391,7 +412,7 @@ class TestSampledDrawPins:
                 "shatter-certificates",
                 dict(n=3, q=3, samples=6, cert_samples=6, max_size=8, seed=9),
                 {
-                    "vanishing_basis": _every_exponent_standard,
+                    "_normal_set": _every_exponent_standard,
                     "leading_monomial": lambda poly, order: Monomial.unit(poly.n),
                 },
                 "c585d627f3cb8d04e5830a0cb0eafbb83767f71cc2f64e972703fbc0c5c0f88c",
