@@ -11,6 +11,7 @@ apart from its elapsed_ms field.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import multiprocessing
@@ -130,30 +131,13 @@ def _pmap(check: Callable[[tuple], tuple[int, list]], items: Iterable[tuple], jo
     return checked, failures
 
 
-def _int_param(params: dict, name: str, default: int | None = None, minimum: int | None = None) -> int:
-    value = params.get(name, default)
-    if value is None:
-        raise ValueError(f"suite parameter {name!r} is required")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"suite parameter {name}={value} must be at least {minimum}")
-    return value
-
-
-def _jobs_param(params: dict) -> int:
-    return _int_param(params, "jobs", default=1, minimum=1)
-
-
-def _seed_param(params: dict) -> int:
-    if "seed" not in params:
+def _sampler(samples: int | None, seed: int | None) -> random.Random | None:
+    """The seeded generator of a sampled run; None for an exhaustive one."""
+    if samples is None:
+        return None
+    if seed is None:
         raise ValueError("sampling requires an explicit seed parameter")
-    return int(params["seed"])
-
-
-def _orders_param(params: dict) -> tuple[TermOrder, ...]:
-    if "order" in params and params["order"] is not None:
-        return (TermOrder(params["order"]),)
-    return _BOTH_ORDERS
+    return random.Random(seed)
 
 
 def _subsets(
@@ -161,16 +145,17 @@ def _subsets(
     rng: random.Random | None = None,
     samples: int = 0,
     max_size: int | None = None,
+    remedy: str = "use samples= and seed= instead",
 ) -> Iterator[tuple]:
-    """Every nonempty subset of the points, or, given an rng, `samples`
-    sorted draws, each of a uniform size in 1..max_size (default: all),
-    refused when that size could exceed the cap."""
+    """Every nonempty subset of the points (refused with the remedy past the
+    cap), or, given an rng, `samples` sorted draws, each of a uniform size in
+    1..max_size (default: all), refused when that size could exceed the cap."""
     if rng is None:
         # 2^N - 1 subsets exceed the cap exactly when N reaches this bit length
         if len(points) >= (_EXHAUSTIVE_CAP + 1).bit_length():
             raise ValueError(
                 f"exhaustive enumeration of the 2^{len(points)} - 1 subsets of {len(points)} "
-                f"points exceeds the cap of {_EXHAUSTIVE_CAP}; use samples= and seed= instead"
+                f"points exceeds the cap of {_EXHAUSTIVE_CAP}; {remedy}"
             )
         for r in range(1, len(points) + 1):
             yield from itertools.combinations(points, r)
@@ -252,21 +237,6 @@ def _max_shattered(v: PointSet) -> int:
 # ---------------------------------------------------------------- suites
 
 
-def _grid_subset_suite(check: Callable[[tuple], tuple], params: dict) -> tuple[int, list[dict]]:
-    """Run check on (n, q, points) for every nonempty subset of the grid
-    {0..q-1}^n, or for samples= seeded draws of 1..max_size points."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
-    if "samples" in params:
-        samples = _int_param(params, "samples", minimum=1)
-        max_size = _int_param(params, "max_size", default=q**n, minimum=1)
-        subsets = _grid_subsets(n, q, random.Random(_seed_param(params)), samples, max_size)
-    else:
-        subsets = _grid_subsets(n, q)
-    return _pmap(check, ((n, q, pts) for pts in subsets), jobs)
-
-
 def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
@@ -299,10 +269,11 @@ def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
     return 1, fails
 
 
-def _suite_sm_cardinality(params: dict) -> tuple[int, list[dict]]:
+def _suite_sm_cardinality(n, q, samples=None, max_size=None, seed=None, jobs=1):
     """|standard monomials| == |V| for subsets of the full grid, both orders;
     in lex the recursion must also find the elimination's normal set."""
-    return _grid_subset_suite(_check_cardinality, params)
+    subsets = _grid_subsets(n, q, _sampler(samples, seed), samples, max_size)
+    return _pmap(_check_cardinality, ((n, q, pts) for pts in subsets), jobs)
 
 
 def _check_uniform_binary(item: tuple) -> tuple[int, list[dict]]:
@@ -312,10 +283,8 @@ def _check_uniform_binary(item: tuple) -> tuple[int, list[dict]]:
     )
 
 
-def _suite_uniform_binary(params: dict) -> tuple[int, list[dict]]:
+def _suite_uniform_binary(n_max, jobs=1):
     """Closed-form normal set of complete uniform binary systems vs engine."""
-    n_max = _int_param(params, "n_max", minimum=1)
-    jobs = _jobs_param(params)
     instances = [(n, d) for n in range(1, n_max + 1) for d in range(n + 1)]
     return _pmap(_check_uniform_binary, instances, jobs)
 
@@ -329,11 +298,8 @@ def _check_hamming_sphere(item: tuple) -> tuple[int, list[dict]]:
     )
 
 
-def _suite_hamming_sphere(params: dict) -> tuple[int, list[dict]]:
+def _suite_hamming_sphere(n_max, q, jobs=1):
     """Closed-form normal set of Hamming spheres vs engine, both orders."""
-    n_max = _int_param(params, "n_max", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
     instances = [(n, d, q) for n in range(1, n_max + 1) for d in range(n + 1)]
     return _pmap(_check_hamming_sphere, instances, jobs)
 
@@ -357,18 +323,14 @@ def _check_blowup(item: tuple) -> tuple[int, list[dict]]:
     return 1, fails
 
 
-def _suite_blowup(params: dict) -> tuple[int, list[dict]]:
+def _suite_blowup(n, q, samples=None, seed=None, order=None, jobs=1):
     """Blow-up closed forms vs engine plus certification of the basis."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
-    order_values = tuple(o.value for o in _orders_param(params))
+    order_values = tuple(o.value for o in (_BOTH_ORDERS if order is None else (TermOrder(order),)))
     if 2**n > _EXHAUSTIVE_CAP:
         raise ValueError(f"the 2^{n} coordinate sets of a family exceed the cap of {_EXHAUSTIVE_CAP}")
     ground = [m for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
-    if "samples" in params:
-        samples = _int_param(params, "samples", minimum=1)
-        rng = random.Random(_seed_param(params))
+    rng = _sampler(samples, seed)
+    if rng is not None:
         families = []
         for _ in range(samples):
             while True:
@@ -409,11 +371,8 @@ def _check_ballot_count(item: tuple) -> tuple[int, list[dict]]:
     return n // 2 + 1, fails
 
 
-def _suite_ballot_count(params: dict) -> tuple[int, list[dict]]:
+def _suite_ballot_count(n_max, q_max, jobs=1):
     """Ballot stratum formula vs direct enumeration of the grid."""
-    n_max = _int_param(params, "n_max", minimum=1)
-    q_max = _int_param(params, "q_max", minimum=2)
-    jobs = _jobs_param(params)
     instances = [(n, q) for n in range(1, n_max + 1) for q in range(2, q_max + 1)]
     return _pmap(_check_ballot_count, instances, jobs)
 
@@ -436,11 +395,8 @@ def _check_uniform_ballot(item: tuple) -> tuple[int, list[dict]]:
     return 1, fails
 
 
-def _suite_uniform_ballot(params: dict) -> tuple[int, list[dict]]:
+def _suite_uniform_ballot(n_max, q, jobs=1):
     """Standard monomials of complete uniform systems are ballot members."""
-    n_max = _int_param(params, "n_max", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
     instances = [(n, d, q) for n in range(1, n_max + 1) for d in range((q - 1) * n + 1)]
     return _pmap(_check_uniform_ballot, instances, jobs)
 
@@ -562,17 +518,11 @@ def _check_certificate(item: tuple) -> tuple[int, list[dict]]:
     return 1, fails
 
 
-def _suite_shatter_certificates(params: dict) -> tuple[int, list[dict]]:
+def _suite_shatter_certificates(n, q, samples, cert_samples=0, max_size=None, seed=None, jobs=1):
     """Full-power standard monomials force shattering; witness certificates
     vanish and lead with the full power product."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    samples = _int_param(params, "samples", minimum=0)
-    cert_samples = _int_param(params, "cert_samples", default=0, minimum=0)
-    rng = random.Random(_seed_param(params))
-    jobs = _jobs_param(params)
-    max_size = _int_param(params, "max_size", default=q**n - 1, minimum=1)
-    max_size = min(max_size, q**n - 1)  # keep at least one pattern missing
+    rng = _sampler(samples, seed)
+    max_size = min(max_size or q**n - 1, q**n - 1)  # keep at least one pattern missing
     implied = ((n, q, pts) for pts in _grid_subsets(n, q, rng, samples, max_size))
     checked, fails = _pmap(_check_shatter_implication, implied, jobs)
     # drawn only once the implication draws are spent, as rng is shared
@@ -599,20 +549,15 @@ def _check_gap_subset(item: tuple) -> tuple[int, list[int]]:
     return 1, [len(pts)] if _max_shattered(PointSet(n, q, pts)) <= s else []
 
 
-def _suite_hamming_sharpness(params: dict) -> tuple[int, list[dict]]:
+def _suite_hamming_sharpness(n, d, s, q, jobs=1):
     """The Hamming-system bound is attained by the sphere when n = s + d and
     strictly unattainable when q > 2 and s + d < n (checked exhaustively)."""
-    n = _int_param(params, "n", minimum=1)
-    d = _int_param(params, "d", minimum=0)
-    s = _int_param(params, "s", minimum=0)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
     limit = bound("hamming", n, d=d, s=s, q=q).value
     if n == s + d:
         return _pmap(_check_sphere_attains, [(n, d, s, q, limit)], jobs)
     if q == 2:
         raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
-    subsets = _subsets(hamming_sphere(n, d, q).points)
+    subsets = _subsets(hamming_sphere(n, d, q).points, remedy="lower n instead")
     checked, sizes = _pmap(_check_gap_subset, ((n, q, s, pts) for pts in subsets), jobs)
     best = max(sizes, default=0)
     if best < limit:
@@ -651,13 +596,9 @@ def _check_km(item: tuple) -> tuple[int, list[dict]]:
     ]
 
 
-def _suite_km_sharpness(params: dict) -> tuple[int, list[dict]]:
+def _suite_km_sharpness(n_max, s_max, q_max, jobs=1):
     """Bounded-maximal-coordinate systems attain the q-ary bound, shatter
     nothing too large, and their largest uniform slice keeps both virtues."""
-    n_max = _int_param(params, "n_max", minimum=1)
-    s_max = _int_param(params, "s_max", minimum=0)
-    q_max = _int_param(params, "q_max", minimum=2)
-    jobs = _jobs_param(params)
     instances = [
         (n, q, s)
         for n in range(1, n_max + 1)
@@ -690,9 +631,10 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
     return 1, fails
 
 
-def _suite_alon_compress(params: dict) -> tuple[int, list[dict]]:
+def _suite_alon_compress(n, q, samples=None, max_size=None, seed=None, jobs=1):
     """Compression invariants: size kept, downward closed, traces dominated."""
-    return _grid_subset_suite(_check_compress, params)
+    subsets = _grid_subsets(n, q, _sampler(samples, seed), samples, max_size)
+    return _pmap(_check_compress, ((n, q, pts) for pts in subsets), jobs)
 
 
 def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
@@ -709,16 +651,13 @@ def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
     ]
 
 
-def _suite_shatter_cap(params: dict) -> tuple[int, list[dict]]:
+def _suite_shatter_cap(n, q, jobs=1):
     """No subsystem of a complete d-uniform system shatters a set larger
     than ceil(d / (q-1))."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
     instances = (
         (n, d, q, shatter_cap(d, q), pts)
         for d in range((q - 1) * n + 1)
-        for pts in _subsets(complete_uniform(n, d, q).points)
+        for pts in _subsets(complete_uniform(n, d, q).points, remedy="lower n instead")
     )
     return _pmap(_check_shatter_cap, instances, jobs)
 
@@ -732,10 +671,8 @@ def _check_q2_bound(item: tuple) -> tuple[int, list[dict]]:
     return 1, [{"params": params, "expected": comb(n, s), "actual": got}]
 
 
-def _suite_q2_consistency(params: dict) -> tuple[int, list[dict]]:
+def _suite_q2_consistency(n_max, jobs=1):
     """At q=2 the q-ary uniform and Hamming bounds collapse to C(n, s)."""
-    n_max = _int_param(params, "n_max", minimum=1)
-    jobs = _jobs_param(params)
     instances = [("uniform", n, None, s) for n in range(1, n_max + 1) for s in range(n // 2 + 1)]
     instances += [
         ("hamming", n, d, s) for n in range(1, n_max + 1) for d in range(n + 1) for s in range(n - d + 1)
@@ -743,12 +680,9 @@ def _suite_q2_consistency(params: dict) -> tuple[int, list[dict]]:
     return _pmap(_check_q2_bound, instances, jobs)
 
 
-def _suite_sm_slice(params: dict) -> tuple[int, list[dict]]:
+def _suite_sm_slice(n, q, jobs=1):
     """Any subsystem of a complete uniform system shattering nothing larger
     than s fits inside the standard monomials with at most s full exponents."""
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
 
     def slices() -> Iterator[tuple]:
         for d in range((q - 1) * n + 1):
@@ -757,20 +691,14 @@ def _suite_sm_slice(params: dict) -> tuple[int, list[dict]]:
             for m in _normal_set(u, TermOrder.DEGLEX):
                 counts[full_exponent_count(m, q)] += 1
             # limits[s]: the standard monomials with at most s full exponents
-            yield {"n": n, "d": d, "q": q}, tuple(itertools.accumulate(counts)), _subsets(u.points)
+            limits = tuple(itertools.accumulate(counts))
+            yield {"n": n, "d": d, "q": q}, limits, _subsets(u.points, remedy="lower n instead")
 
     return _pmap(_check_size, ((p, limits, pts) for p, limits, subsets in slices() for pts in subsets), jobs)
 
 
-def _suite_search(theorem: str, params: dict) -> tuple[int, list[dict]]:
-    n = _int_param(params, "n", minimum=1)
-    q = _int_param(params, "q", minimum=2)
-    jobs = _jobs_param(params)
-    rng, samples, max_size = None, 0, None
-    if "samples" in params:
-        samples = _int_param(params, "samples", minimum=1)
-        max_size = _int_param(params, "max_size", default=q**n, minimum=1)
-        rng = random.Random(_seed_param(params))
+def _suite_search(theorem, n, q, samples, max_size, seed, jobs):
+    rng = _sampler(samples, seed)
     # (d, largest s the theorem allows, subsets of the ambient system) per slice
     if theorem == "km":  # the grid is drawn by index, never listed
         slices = [(None, n - 1, _grid_subsets(n, q, rng, samples, max_size))]
@@ -791,7 +719,20 @@ def _suite_search(theorem: str, params: dict) -> tuple[int, list[dict]]:
     return _pmap(_check_size, ((p, limits, pts) for p, limits, subsets in sized for pts in subsets), jobs)
 
 
-_SUITES: dict[str, Callable[[dict], tuple[int, list[dict]]]] = {
+# the counterexample searches: no subsystem may beat the theorem's bound
+def _suite_search_uniform(n, q, samples=None, max_size=None, seed=None, jobs=1):
+    return _suite_search("uniform", n, q, samples, max_size, seed, jobs)
+
+
+def _suite_search_hamming(n, q, samples=None, max_size=None, seed=None, jobs=1):
+    return _suite_search("hamming", n, q, samples, max_size, seed, jobs)
+
+
+def _suite_search_km(n, q, samples=None, max_size=None, seed=None, jobs=1):
+    return _suite_search("km", n, q, samples, max_size, seed, jobs)
+
+
+_SUITES: dict[str, Callable[..., tuple[int, list[dict]]]] = {
     "sm-cardinality": _suite_sm_cardinality,
     "uniform-binary": _suite_uniform_binary,
     "hamming-sphere": _suite_hamming_sphere,
@@ -805,23 +746,45 @@ _SUITES: dict[str, Callable[[dict], tuple[int, list[dict]]]] = {
     "shatter-cap": _suite_shatter_cap,
     "q2-consistency": _suite_q2_consistency,
     "sm-slice": _suite_sm_slice,
-    "search-uniform": lambda params: _suite_search("uniform", params),
-    "search-hamming": lambda params: _suite_search("hamming", params),
-    "search-km": lambda params: _suite_search("km", params),
+    "search-uniform": _suite_search_uniform,
+    "search-hamming": _suite_search_hamming,
+    "search-km": _suite_search_km,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
+
+# the least value of each integer suite parameter, None for any integer;
+# shatter-certificates may draw certificates alone (samples=0)
+_LEAST = {
+    "n": 1, "d": 0, "s": 0, "q": 2, "n_max": 1, "s_max": 0, "q_max": 2, "jobs": 1, "seed": None,
+    "samples": 1, "cert_samples": 0, "max_size": 1, ("shatter-certificates", "samples"): 0,
+}
 
 _DIFF_SUITES = ("uniform-binary", "hamming-sphere", "ballot-count", "blowup")
 
 
 def run_suite(name: str, **params) -> Report:
-    """Run a named suite and wrap its outcome in a Report."""
+    """Run a named suite on its keyword parameters, None counting as not
+    given, and wrap its outcome in a Report.  A parameter it does not take,
+    a missing one or an integer below its least value raises ValueError."""
     fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
+    takes = inspect.signature(fn).parameters
+    given = {key: value for key, value in params.items() if value is not None}
+    unknown = [key for key in given if key not in takes]
+    missing = [key for key, p in takes.items() if p.default is p.empty and key not in given]
+    if unknown or missing:
+        problem = f" takes no parameter {unknown[0]!r}" if unknown else f": parameter {missing[0]!r} is required"
+        raise ValueError(f"suite {name}{problem}; it takes {', '.join(takes) or 'no parameters'}")
+    for key, value in given.items():
+        if key in _LEAST:
+            given[key] = value = int(value)
+            least = _LEAST.get((name, key), _LEAST[key])
+            if least is not None and value < least:
+                raise ValueError(f"suite parameter {key}={value} must be at least {least}")
     start = time.perf_counter()
-    checked, failures = fn(dict(params))
+    checked, failures = fn(**given)
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
     failures = sorted(failures, key=lambda f: json.dumps(f, sort_keys=True, default=str))
     clean = {k: (v.value if isinstance(v, TermOrder) else v) for k, v in params.items()}

@@ -387,7 +387,7 @@ class TestNoHangOrExhaustion:
             "        os._exit(3)\n"
             "    return []\n"
             "verify._SUITES['sm-cardinality'] = (\n"
-            "    lambda params: verify._pmap(dies_on_two, [(k,) for k in range(4)], 2)\n"
+            "    lambda jobs: verify._pmap(dies_on_two, [(k,) for k in range(4)], jobs)\n"
             ")\n"
             "verify.os.cpu_count = lambda: 2\n"
             "sys.argv[1:] = ['verify', '--suite', 'sm-cardinality', '--jobs', '2']\n"
@@ -441,7 +441,7 @@ class TestVerifyCommand:
         assert lines[-1] == "verdict: pass"
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
-        def broken(params):
+        def broken():
             return 1, [{"params": {}, "expected": 0, "actual": 1}]
 
         monkeypatch.setitem(shatterbasis.verify._SUITES, "shatter-cap", broken)

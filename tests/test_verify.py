@@ -90,7 +90,7 @@ class TestReport:
 
     def test_failures_surface_in_verdict(self):
         # a synthetic suite exercises the failure path end to end
-        def broken(params):
+        def broken():
             return 3, [
                 {"params": {"k": 2}, "expected": 1, "actual": 0},
                 {"params": {"k": 1}, "expected": 1, "actual": 0},
@@ -105,6 +105,28 @@ class TestReport:
             assert [f["params"]["k"] for f in report.failures] == [1, 2]
         finally:
             del verify._SUITES["broken-test-suite"]
+
+
+# per suite: one parameter it does not take, a value for it, and the
+# parameters it does take, in the order of its signature
+_UNTAKEN = {
+    "sm-cardinality": ("order", "lex", "n, q, samples, max_size, seed, jobs"),
+    "uniform-binary": ("q", 3, "n_max, jobs"),
+    "hamming-sphere": ("n", 3, "n_max, q, jobs"),
+    "blowup": ("max_size", 3, "n, q, samples, seed, order, jobs"),
+    "ballot-count": ("q", 3, "n_max, q_max, jobs"),
+    "uniform-ballot": ("d", 1, "n_max, q, jobs"),
+    "shatter-certificates": ("order", "deglex", "n, q, samples, cert_samples, max_size, seed, jobs"),
+    "hamming-sharpness": ("samples", 3, "n, d, s, q, jobs"),
+    "km-sharpness": ("seed", 1, "n_max, s_max, q_max, jobs"),
+    "alon-compress": ("s", 1, "n, q, samples, max_size, seed, jobs"),
+    "shatter-cap": ("samples", 3, "n, q, jobs"),
+    "q2-consistency": ("q", 2, "n_max, jobs"),
+    "sm-slice": ("seed", 1, "n, q, jobs"),
+    "search-uniform": ("cert_samples", 1, "n, q, samples, max_size, seed, jobs"),
+    "search-hamming": ("d", 1, "n, q, samples, max_size, seed, jobs"),
+    "search-km": ("order", "lex", "n, q, samples, max_size, seed, jobs"),
+}
 
 
 class TestRegistry:
@@ -146,6 +168,49 @@ class TestRegistry:
             run_suite("sm-cardinality", n=3, q=3)
         with pytest.raises(ValueError, match="n <= 3"):
             run_suite("blowup", n=4, q=3)
+
+    @pytest.mark.parametrize(
+        "name, params, remedy",
+        [
+            ("shatter-cap", dict(n=7, q=2), "lower n instead"),
+            ("sm-slice", dict(n=7, q=2), "lower n instead"),
+            ("hamming-sharpness", dict(n=5, d=2, s=1, q=3), "lower n instead"),
+            ("sm-cardinality", dict(n=3, q=3), "use samples= and seed= instead"),
+            ("alon-compress", dict(n=3, q=3), "use samples= and seed= instead"),
+            ("search-uniform", dict(n=7, q=2), "use samples= and seed= instead"),
+        ],
+    )
+    def test_cap_refusal_names_a_remedy_the_suite_offers(self, name, params, remedy):
+        # a suite that cannot sample must not send the user to samples=,
+        # which it would refuse as a parameter it does not take
+        with pytest.raises(ValueError, match="exceeds the cap") as info:
+            run_suite(name, **params)
+        assert str(info.value).endswith(f"; {remedy}")
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_every_suite_rejects_a_parameter_it_does_not_take(self, capsys, name):
+        key, value, takes = _UNTAKEN[name]
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in {**DESK[name], key: value}.items()]
+        assert dispatch(["verify", "--suite", name, *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: suite {name} takes no parameter {key!r}; it takes {takes}\n"
+        )
+
+    def test_missing_parameter_names_the_suite_and_its_parameters(self):
+        with pytest.raises(ValueError) as info:
+            run_suite("hamming-sharpness", n=4, d=2, q=3)
+        assert str(info.value) == "suite hamming-sharpness: parameter 's' is required; it takes n, d, s, q, jobs"
+
+    @pytest.mark.parametrize("name, params", [("blowup", dict(n=2, q=3)), ("shatter-cap", dict(n=2, q=3))])
+    def test_none_counts_as_not_given(self, monkeypatch, name, params):
+        # every blowup instance fails, so its records are compared too
+        monkeypatch.setattr(verify, "certify_groebner", lambda v, basis, order: False)
+        nones = dict(samples=None, seed=None, order=None)
+        given = run_suite(name, **params, **nones).canonical()
+        omitted = run_suite(name, **params).canonical()
+        assert (given["checked"], given["failures"]) == (omitted["checked"], omitted["failures"])
+        assert given["params"] == {**params, **nones}
+        assert given["verdict"] == ("fail" if name == "blowup" else "pass")
 
 
 class TestSuiteOutcomes:
