@@ -47,6 +47,7 @@ from .tuples import (
     PointSet,
     SetFamily,
     _shattered_vectors,
+    _weighted_points,
     ballot_member,
     blow_up,
     classify,
@@ -131,61 +132,68 @@ def _pmap(check: Callable[[tuple], tuple[int, list]], items: Iterable[tuple], jo
     return checked, failures
 
 
-def _sampler(samples: int | None, seed: int | None) -> random.Random | None:
-    """The seeded generator of a sampled run; None for an exhaustive one."""
-    if samples is None:
-        return None
-    if seed is None:
-        raise ValueError("sampling requires an explicit seed parameter")
-    return random.Random(seed)
+def _ground(n: int, q: int, d: int | None = None, sphere: bool = False) -> tuple[int, Iterable | Callable]:
+    """A ground (size, points), sized without listing it.  For d None, the
+    grid {0..q-1}^n, its points decoded from their index; it is refused past
+    sys.maxsize points, so q^n is computed only for n < 63.  Otherwise the
+    complete d-uniform system or the radius-d Hamming sphere, its points
+    yielded lazily in lex order."""
+    if d is None:
+        if n >= 63 or q**n > sys.maxsize:
+            raise ValueError(f"the grid {{0..{q - 1}}}^{n} is too large to draw from")
+        return q**n, functools.partial(_grid_point, n, q)
+    if sphere:
+        return comb(n, d) * (q - 1) ** d, _weighted_points(n, [0] + [1] * (q - 1), d, d)
+    # inclusion-exclusion over the j coordinates forced to exceed q - 1
+    size = sum((-1) ** j * comb(n, j) * comb(d - j * q + n - 1, n - 1) for j in range(min(n, d // q) + 1))
+    return size, _weighted_points(n, range(q), d, d)
 
 
-def _subsets(
-    points: Sequence,
-    rng: random.Random | None = None,
-    samples: int = 0,
+def _grid_point(n: int, q: int, k: int) -> Point:
+    return tuple([k // q ** (n - 1 - i) % q for i in range(n)])
+
+
+def _instances(
+    heads: Iterable[tuple],
+    grounds: Iterable[tuple],
+    samples: int | None = None,
     max_size: int | None = None,
+    rng: random.Random | None = None,
     remedy: str = "use samples= and seed= instead",
 ) -> Iterator[tuple]:
-    """Every nonempty subset of the points (refused with the remedy past the
-    cap), or, given an rng, `samples` sorted draws, each of a uniform size in
-    1..max_size (default: all), refused when that size could exceed the cap."""
-    if rng is None:
+    """head + (subset,) per instance of each slice, a slice being a head and
+    a ground (size, points), its points sorted or decoded from their index.
+    Each slice gives every nonempty subset or, with samples, `samples`
+    sorted draws of a uniform size in 1..max_size (default: all), picked by
+    index as random.sample picks from any population.  Every refusal comes
+    before the first head is read: the first slice whose 2^N - 1 subsets
+    exceed the cap, or a draw that could."""
+    slices = []
+    for size, points in grounds:
+        top = size if max_size is None else min(max_size, size)
         # 2^N - 1 subsets exceed the cap exactly when N reaches this bit length
-        if len(points) >= (_EXHAUSTIVE_CAP + 1).bit_length():
+        if samples is None and size >= (_EXHAUSTIVE_CAP + 1).bit_length():
             raise ValueError(
-                f"exhaustive enumeration of the 2^{len(points)} - 1 subsets of {len(points)} "
+                f"exhaustive enumeration of the 2^{size} - 1 subsets of {size} "
                 f"points exceeds the cap of {_EXHAUSTIVE_CAP}; {remedy}"
             )
-        for r in range(1, len(points) + 1):
-            yield from itertools.combinations(points, r)
-        return
-    top = len(points) if max_size is None else min(max_size, len(points))
-    if top > _EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"a sampled draw of up to {top} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
-            f"bound the draw with --max-size (max_size=)"
-        )
-    for _ in range(samples):
-        size = rng.randint(1, top)
-        yield tuple(sorted(rng.sample(points, size)))
-
-
-def _grid_subsets(
-    n: int, q: int, rng: random.Random | None = None, samples: int = 0, max_size: int | None = None
-) -> Iterator[tuple]:
-    """_subsets of the grid {0..q-1}^n in lex order, drawn as indices into
-    it and decoded in base q, first coordinate most significant, so the
-    grid is never listed.  random.sample uses only the population's length,
-    so the draws are those of _subsets over the listed grid."""
-    if q**n > sys.maxsize:
-        raise ValueError(f"the grid {{0..{q - 1}}}^{n} is too large to draw from")
-    for ks in _subsets(range(q**n), rng, samples, max_size):
-        yield tuple(_grid_point(k, n, q) for k in ks)
-
-
-def _grid_point(k: int, n: int, q: int) -> Point:
-    return tuple(k // q ** (n - 1 - i) % q for i in range(n))
+        if samples is not None and top > _EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"a sampled draw of up to {top} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
+                f"bound the draw with --max-size (max_size=)"
+            )
+        slices.append((size, top, points))
+    for head, (size, top, points) in zip(heads, slices):
+        pick = points if callable(points) else tuple(points).__getitem__
+        if samples is None:
+            listed = [pick(k) for k in range(size)]
+            for r in range(1, size + 1):
+                for subset in itertools.combinations(listed, r):
+                    yield head + (subset,)
+        else:
+            for _ in range(samples):
+                ks = sorted(rng.sample(range(size), rng.randint(1, top)))
+                yield head + (tuple([pick(k) for k in ks]),)
 
 
 def _diff_closed_form(
@@ -272,8 +280,8 @@ def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
 def _suite_sm_cardinality(n, q, samples=None, max_size=None, seed=None, jobs=1):
     """|standard monomials| == |V| for subsets of the full grid, both orders;
     in lex the recursion must also find the elimination's normal set."""
-    subsets = _grid_subsets(n, q, _sampler(samples, seed), samples, max_size)
-    return _pmap(_check_cardinality, ((n, q, pts) for pts in subsets), jobs)
+    instances = _instances([(n, q)], [_ground(n, q)], samples, max_size, random.Random(seed))
+    return _pmap(_check_cardinality, instances, jobs)
 
 
 def _check_uniform_binary(item: tuple) -> tuple[int, list[dict]]:
@@ -305,7 +313,7 @@ def _suite_hamming_sphere(n_max, q, jobs=1):
 
 
 def _check_blowup(item: tuple) -> tuple[int, list[dict]]:
-    n, q, members, order_values = item
+    n, q, order_values, members = item
     family = SetFamily(n, members)
     grown = blow_up(family, q)
     params = {"members": sorted(sorted(m) for m in members), "q": q}
@@ -326,25 +334,23 @@ def _check_blowup(item: tuple) -> tuple[int, list[dict]]:
 def _suite_blowup(n, q, samples=None, seed=None, order=None, jobs=1):
     """Blow-up closed forms vs engine plus certification of the basis."""
     order_values = tuple(o.value for o in (_BOTH_ORDERS if order is None else (TermOrder(order),)))
-    if 2**n > _EXHAUSTIVE_CAP:
+    if n >= _EXHAUSTIVE_CAP.bit_length():  # 2^n > cap, told without computing 2^n
         raise ValueError(f"the 2^{n} coordinate sets of a family exceed the cap of {_EXHAUSTIVE_CAP}")
     ground = [m for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
-    rng = _sampler(samples, seed)
-    if rng is not None:
-        families = []
-        for _ in range(samples):
-            while True:
-                pick = [m for m in ground if rng.random() < 0.5]
-                if pick:
-                    families.append(tuple(sorted(pick)))
-                    break
-    else:
+    head = (n, q, order_values)
+    if samples is None:
         if n > _FAMILY_GROUND_CAP:
             raise ValueError(
                 f"exhaustive families need n <= {_FAMILY_GROUND_CAP}; pass samples= and seed="
             )
-        families = [tuple(sorted(combo)) for combo in _subsets(ground)]
-    instances = [(n, q, members, order_values) for members in families]
+        return _pmap(_check_blowup, _instances([head], [(len(ground), sorted(ground))]), jobs)
+    rng, instances = random.Random(seed), []
+    for _ in range(samples):
+        while True:
+            pick = [m for m in ground if rng.random() < 0.5]
+            if pick:
+                instances.append(head + (tuple(sorted(pick)),))
+                break
     return _pmap(_check_blowup, instances, jobs)
 
 
@@ -473,7 +479,7 @@ def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_siz
     of the missing patterns in lex order, so neither all coordinate sets
     nor all q^|cs| patterns are listed.  The certificate on cs expands into
     up to q^|cs| terms, so a drawn cs past the cap is refused."""
-    for pts in _grid_subsets(n, q, rng, samples, max_size):
+    for (pts,) in _instances([()], [_ground(n, q)], samples, max_size, rng):
         v = PointSet(n, q, pts)
         shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(v) if any(u))
         cs = rng.choice(_Unranked(2**n - 1, shattered, functools.partial(_unrank_set, n=n)))
@@ -483,7 +489,7 @@ def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_siz
                 f"{q}^{len(cs)} terms, past the cap of {_EXHAUSTIVE_CAP}; use a smaller --n (n=)"
             )
         present = sorted({functools.reduce(lambda code, c: code * q + c, r, 0) for r in v.restrictions(cs)})
-        missing = _Unranked(q ** len(cs), present, functools.partial(_grid_point, n=len(cs), q=q))
+        missing = _Unranked(q ** len(cs), present, functools.partial(_grid_point, len(cs), q))
         witness = [0] * n
         for c, value in zip(cs, rng.choice(missing)):
             witness[c - 1] = value
@@ -521,9 +527,10 @@ def _check_certificate(item: tuple) -> tuple[int, list[dict]]:
 def _suite_shatter_certificates(n, q, samples, cert_samples=0, max_size=None, seed=None, jobs=1):
     """Full-power standard monomials force shattering; witness certificates
     vanish and lead with the full power product."""
-    rng = _sampler(samples, seed)
-    max_size = min(max_size or q**n - 1, q**n - 1)  # keep at least one pattern missing
-    implied = ((n, q, pts) for pts in _grid_subsets(n, q, rng, samples, max_size))
+    rng, grid = random.Random(seed), _ground(n, q)
+    top = grid[0] - 1  # keep at least one pattern missing
+    max_size = min(max_size or top, top)
+    implied = _instances([(n, q)], [grid], samples, max_size, rng)
     checked, fails = _pmap(_check_shatter_implication, implied, jobs)
     # drawn only once the implication draws are spent, as rng is shared
     c, f = _pmap(_check_certificate, _certificate_draws(n, q, rng, cert_samples, max_size), jobs)
@@ -557,8 +564,8 @@ def _suite_hamming_sharpness(n, d, s, q, jobs=1):
         return _pmap(_check_sphere_attains, [(n, d, s, q, limit)], jobs)
     if q == 2:
         raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
-    subsets = _subsets(hamming_sphere(n, d, q).points, remedy="lower n instead")
-    checked, sizes = _pmap(_check_gap_subset, ((n, q, s, pts) for pts in subsets), jobs)
+    subsets = _instances([(n, q, s)], [_ground(n, q, d, sphere=True)], remedy="lower n instead")
+    checked, sizes = _pmap(_check_gap_subset, subsets, jobs)
     best = max(sizes, default=0)
     if best < limit:
         return checked, []
@@ -633,8 +640,8 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_alon_compress(n, q, samples=None, max_size=None, seed=None, jobs=1):
     """Compression invariants: size kept, downward closed, traces dominated."""
-    subsets = _grid_subsets(n, q, _sampler(samples, seed), samples, max_size)
-    return _pmap(_check_compress, ((n, q, pts) for pts in subsets), jobs)
+    instances = _instances([(n, q)], [_ground(n, q)], samples, max_size, random.Random(seed))
+    return _pmap(_check_compress, instances, jobs)
 
 
 def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
@@ -654,11 +661,9 @@ def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
 def _suite_shatter_cap(n, q, jobs=1):
     """No subsystem of a complete d-uniform system shatters a set larger
     than ceil(d / (q-1))."""
-    instances = (
-        (n, d, q, shatter_cap(d, q), pts)
-        for d in range((q - 1) * n + 1)
-        for pts in _subsets(complete_uniform(n, d, q).points, remedy="lower n instead")
-    )
+    ds = range((q - 1) * n + 1)
+    heads = ((n, d, q, shatter_cap(d, q)) for d in ds)
+    instances = _instances(heads, (_ground(n, q, d) for d in ds), remedy="lower n instead")
     return _pmap(_check_shatter_cap, instances, jobs)
 
 
@@ -683,53 +688,38 @@ def _suite_q2_consistency(n_max, jobs=1):
 def _suite_sm_slice(n, q, jobs=1):
     """Any subsystem of a complete uniform system shattering nothing larger
     than s fits inside the standard monomials with at most s full exponents."""
-
-    def slices() -> Iterator[tuple]:
-        for d in range((q - 1) * n + 1):
-            u = complete_uniform(n, d, q)
-            counts = [0] * (n + 1)
-            for m in _normal_set(u, TermOrder.DEGLEX):
-                counts[full_exponent_count(m, q)] += 1
-            # limits[s]: the standard monomials with at most s full exponents
-            limits = tuple(itertools.accumulate(counts))
-            yield {"n": n, "d": d, "q": q}, limits, _subsets(u.points, remedy="lower n instead")
-
-    return _pmap(_check_size, ((p, limits, pts) for p, limits, subsets in slices() for pts in subsets), jobs)
+    ds = range((q - 1) * n + 1)
+    heads = (({"n": n, "d": d, "q": q}, _full_exponent_limits(n, d, q)) for d in ds)
+    instances = _instances(heads, (_ground(n, q, d) for d in ds), remedy="lower n instead")
+    return _pmap(_check_size, instances, jobs)
 
 
-def _suite_search(theorem, n, q, samples, max_size, seed, jobs):
-    rng = _sampler(samples, seed)
-    # (d, largest s the theorem allows, subsets of the ambient system) per slice
-    if theorem == "km":  # the grid is drawn by index, never listed
-        slices = [(None, n - 1, _grid_subsets(n, q, rng, samples, max_size))]
+def _full_exponent_limits(n: int, d: int, q: int) -> tuple[int, ...]:
+    """limits[s]: the standard monomials of the complete d-uniform system
+    with at most s full exponents."""
+    counts = [0] * (n + 1)
+    for m in _normal_set(complete_uniform(n, d, q), TermOrder.DEGLEX):
+        counts[full_exponent_count(m, q)] += 1
+    return tuple(itertools.accumulate(counts))
+
+
+def _suite_search(theorem, n, q, samples=None, max_size=None, seed=None, jobs=1):
+    """A counterexample search: no subsystem of a slice of the theorem's
+    ambient system may beat its bound."""
+    if theorem == "km":  # one slice: the grid, drawn by index and never listed
+        ds, grounds = [None], [_ground(n, q)]
     else:
-        if theorem == "uniform":
-            ambient = [(d, n // 2, complete_uniform(n, d, q)) for d in range((q - 1) * n + 1)]
-        else:
-            ambient = [(d, n - d, hamming_sphere(n, d, q)) for d in range(n + 1)]
-        slices = [(d, s_top, _subsets(u.points, rng, samples, max_size)) for d, s_top, u in ambient]
-    sized = [
-        (
-            {"n": n, "q": q, "d": d},
-            tuple(bound(theorem, n, d=d, s=s, q=q).value for s in range(s_top + 1)),
-            subsets,
-        )
-        for d, s_top, subsets in slices
-    ]
-    return _pmap(_check_size, ((p, limits, pts) for p, limits, subsets in sized for pts in subsets), jobs)
+        ds = range(n + 1) if theorem == "hamming" else range((q - 1) * n + 1)
+        grounds = (_ground(n, q, d, sphere=theorem == "hamming") for d in ds)
+    heads = (({"n": n, "q": q, "d": d}, _bound_limits(theorem, n, d, q)) for d in ds)
+    return _pmap(_check_size, _instances(heads, grounds, samples, max_size, random.Random(seed)), jobs)
 
 
-# the counterexample searches: no subsystem may beat the theorem's bound
-def _suite_search_uniform(n, q, samples=None, max_size=None, seed=None, jobs=1):
-    return _suite_search("uniform", n, q, samples, max_size, seed, jobs)
-
-
-def _suite_search_hamming(n, q, samples=None, max_size=None, seed=None, jobs=1):
-    return _suite_search("hamming", n, q, samples, max_size, seed, jobs)
-
-
-def _suite_search_km(n, q, samples=None, max_size=None, seed=None, jobs=1):
-    return _suite_search("km", n, q, samples, max_size, seed, jobs)
+def _bound_limits(theorem: str, n: int, d: int | None, q: int) -> tuple[int, ...]:
+    """limits[s]: the theorem's bound on a subsystem of slice d that
+    shatters nothing above s, for every s the theorem allows."""
+    s_top = n - 1 if theorem == "km" else n // 2 if theorem == "uniform" else n - d
+    return tuple(bound(theorem, n, d=d, s=s, q=q).value for s in range(s_top + 1))
 
 
 _SUITES: dict[str, Callable[..., tuple[int, list[dict]]]] = {
@@ -746,9 +736,9 @@ _SUITES: dict[str, Callable[..., tuple[int, list[dict]]]] = {
     "shatter-cap": _suite_shatter_cap,
     "q2-consistency": _suite_q2_consistency,
     "sm-slice": _suite_sm_slice,
-    "search-uniform": _suite_search_uniform,
-    "search-hamming": _suite_search_hamming,
-    "search-km": _suite_search_km,
+    "search-uniform": functools.partial(_suite_search, "uniform"),
+    "search-hamming": functools.partial(_suite_search, "hamming"),
+    "search-km": functools.partial(_suite_search, "km"),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -766,7 +756,8 @@ _DIFF_SUITES = ("uniform-binary", "hamming-sphere", "ballot-count", "blowup")
 def run_suite(name: str, **params) -> Report:
     """Run a named suite on its keyword parameters, None counting as not
     given, and wrap its outcome in a Report.  A parameter it does not take,
-    a missing one or an integer below its least value raises ValueError."""
+    a missing one, an integer below its least value, or seed or max_size
+    without samples raises ValueError."""
     fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
@@ -783,6 +774,11 @@ def run_suite(name: str, **params) -> Report:
             least = _LEAST.get((name, key), _LEAST[key])
             if least is not None and value < least:
                 raise ValueError(f"suite parameter {key}={value} must be at least {least}")
+    if "samples" in given and "seed" not in given:
+        raise ValueError("sampling requires an explicit seed parameter")
+    for key in ("seed", "max_size"):
+        if key in given and "samples" not in given:
+            raise ValueError(f"suite {name}: parameter {key!r} applies only to a sampled run; give samples too")
     start = time.perf_counter()
     checked, failures = fn(**given)
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)

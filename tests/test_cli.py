@@ -7,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -315,7 +316,8 @@ class TestNoHangOrExhaustion:
         # the one the lazy sequences replace, and consumes rng the same way
         n, q, seed = 16, 2, 10102
         brute_rng = random.Random(seed)
-        pts = next(shatterbasis.verify._grid_subsets(n, q, brute_rng, 1, 3))
+        grid = shatterbasis.verify._ground(n, q)
+        (pts,) = next(shatterbasis.verify._instances([()], [grid], 1, 3, brute_rng))
         v = PointSet(n, q, pts)
         candidates = [
             cs
@@ -332,6 +334,37 @@ class TestNoHangOrExhaustion:
         draws = shatterbasis.verify._certificate_draws(n, q, random.Random(seed), 1, 3)
         assert list(draws) == [(n, q, pts, cs, witness)]
         assert len(cs) >= 15
+
+    @pytest.mark.parametrize(
+        "argv, seconds",
+        [
+            # exhaustive: the first slice past the cap is refused before the
+            # smaller ones are checked, and a slice is sized without listing it
+            (["shatter-cap", "--n", "20", "--q", "3"], 2),
+            (["sm-slice", "--n", "20", "--q", "3"], 2),
+            (["search-uniform", "--n", "20", "--q", "3"], 2),
+            (["search-hamming", "--n", "20", "--q", "3"], 2),
+            (["hamming-sharpness", "--n", "30", "--d", "15", "--s", "1", "--q", "3"], 2),
+            # the grid is refused before any bound is computed, and q^n or
+            # 2^n is never computed to tell that n is too large
+            (["search-km", "--n", "3000", "--q", "3", "--samples", "1", "--seed", "1", "--max-size", "3"], 2),
+            (["search-km", "--n", "1000000000", "--q", "3", "--samples", "1", "--seed", "1", "--max-size", "3"], 1),
+            (["sm-cardinality", "--n", "1000000000", "--q", "3", "--samples", "1", "--seed", "1",
+              "--max-size", "3"], 1),
+            (["shatter-certificates", "--n", "1000000000", "--q", "3", "--samples", "1", "--seed", "1",
+              "--max-size", "3"], 1),
+            (["blowup", "--n", "1000000000", "--q", "3", "--samples", "1", "--seed", "1"], 1),
+        ],
+    )
+    def test_refused_before_any_work(self, argv, seconds):
+        start = time.perf_counter()
+        proc = run_limited(self.VERIFY.format(argv=["verify", "--suite", *argv]))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert elapsed < seconds, (elapsed, lines[0])
 
     @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])
     def test_sampled_draw_refuses_past_the_cap(self, suite):

@@ -3,9 +3,12 @@
 import concurrent.futures
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import json
+import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from shatterbasis.cli import dispatch
 from shatterbasis.closedform import BoundReport, sm_uniform_binary
 from shatterbasis.ideals import StandardMonomialSet, interpolate, vanishing_basis
 from shatterbasis.polyring import Monomial, TermOrder
-from shatterbasis.tuples import PointSet, complete_uniform
+from shatterbasis.tuples import PointSet, complete_uniform, hamming_sphere
 from shatterbasis.verify import (
     SUITE_NAMES,
     counterexample_search,
@@ -195,6 +198,29 @@ class TestRegistry:
         assert capsys.readouterr().err == (
             f"error: suite {name} takes no parameter {key!r}; it takes {takes}\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            (name, key)
+            for name, fn in verify._SUITES.items()
+            for key in ("seed", "max_size")
+            if key in inspect.signature(fn).parameters
+        ],
+    )
+    def test_sampled_only_parameter_needs_samples(self, capsys, name, key):
+        # it would otherwise be echoed in the report of an exhaustive run
+        sampled = ("samples", "cert_samples", "seed", "max_size")
+        params = {**{k: v for k, v in DESK[name].items() if k not in sampled}, key: 1}
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in params.items()]
+        assert dispatch(["verify", "--suite", name, *flags]) == 2
+        err = capsys.readouterr().err
+        if inspect.signature(verify._SUITES[name]).parameters["samples"].default is inspect.Parameter.empty:
+            assert "parameter 'samples' is required" in err
+        else:
+            assert err == (
+                f"error: suite {name}: parameter {key!r} applies only to a sampled run; give samples too\n"
+            )
 
     def test_missing_parameter_names_the_suite_and_its_parameters(self):
         with pytest.raises(ValueError) as info:
@@ -389,6 +415,120 @@ class TestSuiteOutcomes:
         report = run_suite("blowup", n=2, q=3, order="lex")
         assert report.verdict == "pass"
         assert report.params["order"] == "lex"
+
+
+def _reference_subsets(points, rng=None, samples=0, max_size=None, remedy="use samples= and seed= instead"):
+    """The exhaustive-or-sampled subset stream that verify._instances
+    replaced, kept as it was as the reference."""
+    cap = verify._EXHAUSTIVE_CAP
+    if rng is None:
+        if len(points) >= (cap + 1).bit_length():
+            raise ValueError(
+                f"exhaustive enumeration of the 2^{len(points)} - 1 subsets of {len(points)} "
+                f"points exceeds the cap of {cap}; {remedy}"
+            )
+        for r in range(1, len(points) + 1):
+            yield from itertools.combinations(points, r)
+        return
+    top = len(points) if max_size is None else min(max_size, len(points))
+    if top > cap:
+        raise ValueError(
+            f"a sampled draw of up to {top} points exceeds the cap of {cap}; "
+            f"bound the draw with --max-size (max_size=)"
+        )
+    for _ in range(samples):
+        size = rng.randint(1, top)
+        yield tuple(sorted(rng.sample(points, size)))
+
+
+def _reference_grid_subsets(n, q, rng=None, samples=0, max_size=None):
+    """_reference_subsets of the grid {0..q-1}^n, drawn as indices and
+    decoded in base q, as verify._instances replaced it."""
+    if q**n > sys.maxsize:
+        raise ValueError(f"the grid {{0..{q - 1}}}^{n} is too large to draw from")
+    for ks in _reference_subsets(range(q**n), rng, samples, max_size):
+        yield tuple(tuple(k // q ** (n - 1 - i) % q for i in range(n)) for k in ks)
+
+
+class TestInstanceKernel:
+    """verify._instances against the streams it replaced, and its refusals."""
+
+    @pytest.mark.parametrize("n, q", [(n, q) for n in range(1, 6) for q in range(2, 5)])
+    def test_grounds_are_sized_and_ordered_like_the_point_sets(self, n, q):
+        for d in range((q - 1) * n + 1):
+            size, points = verify._ground(n, q, d)
+            assert (size, list(points)) == (len(complete_uniform(n, d, q)), list(complete_uniform(n, d, q)))
+        for d in range(n + 1):
+            size, points = verify._ground(n, q, d, sphere=True)
+            assert (size, list(points)) == (len(hamming_sphere(n, d, q)), list(hamming_sphere(n, d, q)))
+        size, decode = verify._ground(n, q)
+        assert [decode(k) for k in range(size)] == list(itertools.product(range(q), repeat=n))
+
+    @pytest.mark.parametrize("n, q", [(1, 2), (2, 2), (3, 2), (1, 4), (2, 3), (2, 4), (4, 2)])
+    def test_exhaustive_streams_match_the_reference(self, n, q):
+        ds = range((q - 1) * n + 1)
+        slices = [complete_uniform(n, d, q).points for d in ds] + [hamming_sphere(n, 1, q).points]
+        grounds = [verify._ground(n, q, d) for d in ds] + [verify._ground(n, q, 1, sphere=True)]
+        expected = [(d, subset) for d, points in enumerate(slices) for subset in _reference_subsets(points)]
+        assert list(verify._instances([(d,) for d in range(len(slices))], grounds)) == expected
+        grid = list(verify._instances([(n, q)], [verify._ground(n, q)]))
+        assert grid == [(n, q, subset) for subset in _reference_grid_subsets(n, q)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_size", [None, 1, 3])
+    def test_sampled_streams_share_one_rng_like_the_reference(self, seed, max_size):
+        # uniform slices, spheres and grids in turn, all drawn from one rng
+        n, q, samples = 3, 3, 4
+        ds = range((q - 1) * n + 1)
+        grounds = [verify._ground(n, q, d) for d in ds]
+        grounds += [verify._ground(n, q, d, sphere=True) for d in range(n + 1)]
+        grounds += [verify._ground(n, q), verify._ground(2, 4)]
+        heads = ((i,) for i in itertools.count())
+        got = list(verify._instances(heads, grounds, samples, max_size, random.Random(seed)))
+        rng = random.Random(seed)
+        expected = [complete_uniform(n, d, q).points for d in ds]
+        expected += [hamming_sphere(n, d, q).points for d in range(n + 1)]
+        streams = [_reference_subsets(points, rng, samples, max_size) for points in expected]
+        streams += [_reference_grid_subsets(m, r, rng, samples, max_size) for m, r in [(n, q), (2, 4)]]
+        # the reference streams are lazy, so chaining them consumes rng slice by slice
+        assert got == [(i, subset) for i, stream in enumerate(streams) for subset in stream]
+
+    @pytest.mark.parametrize("samples, max_size", [(None, None), (2, None), (2, 1 << 21)])
+    def test_refusals_read_no_head_and_build_no_later_slice(self, samples, max_size):
+        points = range((1 << 20) + 1)
+
+        def grounds():
+            yield 3, iter(points[:3])
+            yield len(points), iter(points)
+            pytest.fail("a slice after the first one past the cap was built")
+
+        heads = (pytest.fail("a head was read") for _ in itertools.count())
+        with pytest.raises(ValueError) as info:
+            next(verify._instances(heads, grounds(), samples, max_size, random.Random(1)))
+        reference = _reference_subsets(points, samples and random.Random(1), samples or 0, max_size)
+        with pytest.raises(ValueError) as expected:
+            next(reference)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "name, params, stubbed",
+        [
+            ("shatter-cap", dict(n=5, q=3), ["_check_shatter_cap"]),
+            ("sm-slice", dict(n=5, q=3), ["_check_size", "_full_exponent_limits"]),
+            ("search-uniform", dict(n=5, q=3), ["_check_size", "bound"]),
+            ("search-hamming", dict(n=5, q=3), ["_check_size", "bound"]),
+            ("search-km", dict(n=20, q=3, samples=1, seed=1), ["_check_size", "bound"]),
+            ("sm-cardinality", dict(n=20, q=3, samples=1, seed=1), ["_check_cardinality"]),
+            ("hamming-sharpness", dict(n=5, d=2, s=1, q=3), ["_check_gap_subset"]),
+        ],
+    )
+    def test_a_run_past_the_cap_checks_no_instance(self, monkeypatch, name, params, stubbed):
+        calls = []
+        for key in stubbed:
+            monkeypatch.setattr(verify, key, lambda *args, key=key, **kwargs: calls.append(key))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            run_suite(name, **params)
+        assert calls == []
 
 
 class TestWrappers:
