@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import logging
 import os
@@ -31,7 +32,7 @@ from .tuples import (
     km_extremal,
     lower_bound_slice,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import _SUITES, SUITE_NAMES, run_suite
 
 __all__ = ["parse_tuples", "render_tuples", "build_parser", "dispatch", "main"]
 
@@ -252,25 +253,18 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-_SUITE_PARAM_FLAGS = (
-    "n",
-    "d",
-    "s",
-    "q",
-    "n_max",
-    "s_max",
-    "q_max",
-    "samples",
-    "cert_samples",
-    "max_size",
-    "seed",
+# every suite's integer parameters, each once; --order and --jobs are flags of their own
+_SUITE_PARAMS = tuple(
+    key
+    for key in dict.fromkeys(k for fn in _SUITES.values() for k in inspect.signature(fn).parameters)
+    if key not in ("jobs", "order")
 )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = {
         name: getattr(args, name)
-        for name in _SUITE_PARAM_FLAGS
+        for name in _SUITE_PARAMS
         if getattr(args, name, None) is not None
     }
     if args.order is not None:
@@ -343,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    _add_params(verify, *_SUITE_PARAM_FLAGS)
+    _add_params(verify, *_SUITE_PARAMS)
     verify.add_argument("--jobs", type=int, default=1)
     _add_common(verify)
 

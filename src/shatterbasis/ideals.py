@@ -271,14 +271,19 @@ def _lex_standard(points: Sequence[Point]) -> list[Point]:
     Ronyai): let U_k be the projections of V away from x1 whose fibre has
     more than k points; then SM(V) is the disjoint union over k of
     x1^k * SM(U_k).  Each U_k is nonempty for k below the largest fibre.
+    The recursion is unrolled one coordinate at a time, so its depth is not
+    bounded by the interpreter's: each level splits every (prefix, points)
+    pair in prefix order, which keeps the prefixes ascending.
     """
-    if not points[0]:
-        return [()]
-    fibres = Counter(p[1:] for p in points)
-    out: list[Point] = []
-    for k in range(max(fibres.values())):
-        out += [(k, *e) for e in _lex_standard([u for u, c in fibres.items() if c > k])]
-    return out
+    level: list[tuple[Point, Sequence[Point]]] = [((), points)]
+    for _ in range(len(points[0])):
+        split = []
+        for prefix, pts in level:
+            fibres = Counter(p[1:] for p in pts)
+            for k in range(max(fibres.values())):
+                split.append(((*prefix, k), [u for u, c in fibres.items() if c > k]))
+        level = split
+    return [prefix for prefix, _ in level]
 
 
 def standard_monomials(v: PointSet, order: TermOrder = TermOrder.DEGLEX) -> StandardMonomialSet:

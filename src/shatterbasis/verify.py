@@ -167,7 +167,8 @@ def _instances(
     sorted draws of a uniform size in 1..max_size (default: all), picked by
     index as random.sample picks from any population.  Every refusal comes
     before the first head is read: the first slice whose 2^N - 1 subsets
-    exceed the cap, or a draw that could."""
+    exceed the cap, a draw that could, or a sampled slice that would be
+    listed past the cap."""
     slices = []
     for size, points in grounds:
         top = size if max_size is None else min(max_size, size)
@@ -181,6 +182,11 @@ def _instances(
             raise ValueError(
                 f"a sampled draw of up to {top} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
                 f"bound the draw with --max-size (max_size=)"
+            )
+        if samples is not None and not callable(points) and size > _EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"listing the {size} points of a sampled slice exceeds the cap of {_EXHAUSTIVE_CAP}; "
+                f"lower n instead"
             )
         slices.append((size, top, points))
     for head, (size, top, points) in zip(heads, slices):
@@ -196,6 +202,16 @@ def _instances(
                 yield head + (tuple([pick(k) for k in ks]),)
 
 
+def _failure(params: dict, expected, actual) -> dict:
+    """The one failure record: the instance, the value expected and the value found."""
+    return {"params": params, "expected": expected, "actual": actual}
+
+
+def _listed(points: Iterable[Point]) -> list[list[int]]:
+    """Instance points as JSON lists, for a failure record."""
+    return [list(p) for p in points]
+
+
 def _diff_closed_form(
     params: dict,
     v: PointSet,
@@ -209,13 +225,7 @@ def _diff_closed_form(
         brute = _normal_set(v, order).exponent_vectors()
         got = closed(order).exponent_vectors()
         if got != brute:
-            fails.append(
-                {
-                    "params": {**params, "order": order.value},
-                    "expected": sorted(brute),
-                    "actual": sorted(got),
-                }
-            )
+            fails.append(_failure({**params, "order": order.value}, sorted(brute), sorted(got)))
     return fails
 
 
@@ -227,11 +237,7 @@ def _check_size(item: tuple) -> tuple[int, list[dict]]:
     v = PointSet(params["n"], params["q"], pts)
     sizes = range(max(_max_shattered(v), 0), len(limits))
     return len(sizes), [
-        {
-            "params": {**params, "s": s, "points": [list(p) for p in v]},
-            "expected": f"at most {limits[s]} points",
-            "actual": len(v),
-        }
+        _failure({**params, "s": s, "points": _listed(v)}, f"at most {limits[s]} points", len(v))
         for s in sizes
         if len(v) > limits[s]
     ]
@@ -252,28 +258,13 @@ def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
     for order in _BOTH_ORDERS:
         sm = _normal_set(v, order)
         if len(sm) != len(v):
-            fails.append(
-                {
-                    "params": {"points": [list(p) for p in pts], "order": order.value},
-                    "expected": len(v),
-                    "actual": len(sm),
-                }
-            )
+            fails.append(_failure({"points": _listed(pts), "order": order.value}, len(v), len(sm)))
         elif order is TermOrder.LEX:
             # a third route: the recursion, which solves no linear system
             got = standard_monomials(v, order)
             if got != sm:
-                fails.append(
-                    {
-                        "params": {
-                            "points": [list(p) for p in pts],
-                            "order": order.value,
-                            "route": "recursion",
-                        },
-                        "expected": sorted(sm.exponent_vectors()),
-                        "actual": sorted(got.exponent_vectors()),
-                    }
-                )
+                params = {"points": _listed(pts), "order": order.value, "route": "recursion"}
+                fails.append(_failure(params, sorted(sm.exponent_vectors()), sorted(got.exponent_vectors())))
     return 1, fails
 
 
@@ -321,13 +312,7 @@ def _check_blowup(item: tuple) -> tuple[int, list[dict]]:
     fails = _diff_closed_form(params, grown, lambda order: sm_blowup(family, q, order), orders)
     for order in orders:
         if not certify_groebner(grown, gb_blowup(family, q, order), order):
-            fails.append(
-                {
-                    "params": {**params, "order": order.value},
-                    "expected": "certified basis",
-                    "actual": "certification failed",
-                }
-            )
+            fails.append(_failure({**params, "order": order.value}, "certified basis", "certification failed"))
     return 1, fails
 
 
@@ -364,16 +349,10 @@ def _check_ballot_count(item: tuple) -> tuple[int, list[dict]]:
     for i in range(n // 2 + 1):
         expected = count_ballot(n, q, i)
         if tallies[i] != expected:
-            fails.append({"params": {"n": n, "q": q, "i": i}, "expected": expected, "actual": tallies[i]})
+            fails.append(_failure({"n": n, "q": q, "i": i}, expected, tallies[i]))
     leftover = sum(tallies[n // 2 + 1:])
     if leftover:
-        fails.append(
-            {
-                "params": {"n": n, "q": q},
-                "expected": "no ballot member with more than n/2 full exponents",
-                "actual": leftover,
-            }
-        )
+        fails.append(_failure({"n": n, "q": q}, "no ballot member with more than n/2 full exponents", leftover))
     return n // 2 + 1, fails
 
 
@@ -391,13 +370,8 @@ def _check_uniform_ballot(item: tuple) -> tuple[int, list[dict]]:
         sm = _normal_set(u, order)
         bad = [m.exponents for m in sm if not ballot_member(m.exponents, q)]
         if bad:
-            fails.append(
-                {
-                    "params": {"n": n, "d": d, "q": q, "order": order.value},
-                    "expected": "all standard monomials satisfy the ballot condition",
-                    "actual": sorted(bad),
-                }
-            )
+            params = {"n": n, "d": d, "q": q, "order": order.value}
+            fails.append(_failure(params, "all standard monomials satisfy the ballot condition", sorted(bad)))
     return 1, fails
 
 
@@ -416,35 +390,23 @@ def _check_shatter_implication(item: tuple) -> tuple[int, list[dict]]:
         key=lambda cs: (len(cs), cs),
     )
     return 1, [
-        {
-            "params": {"points": [list(p) for p in pts], "coords": cs},
-            "expected": "shattered",
-            "actual": "not shattered",
-        }
+        _failure({"points": _listed(pts), "coords": cs}, "shattered", "not shattered")
         for cs in full_powers
         if not shatters(v, cs)
     ]
 
 
-class _Unranked:
-    """The integers of range(total) outside the sorted list taken, in
-    increasing order and decoded, as a lazy sequence: random.choice reads
-    only its length and the one item it draws."""
-
-    def __init__(self, total: int, taken: list[int], decode: Callable[[int], tuple]) -> None:
-        self.total, self.taken, self.decode = total, taken, decode
-
-    def __len__(self) -> int:
-        return self.total - len(self.taken)
-
-    def __getitem__(self, k: int) -> tuple:
-        if not 0 <= k < len(self):
-            raise IndexError(k)
-        for t in self.taken:
-            if t > k:
-                break
-            k += 1
-        return self.decode(k)
+def _draw_outside(rng: random.Random, total: int, taken: list[int]) -> int:
+    """A uniform draw from the integers of range(total) outside the sorted
+    list taken.  rng.randrange(m) and rng.choice of an m-item sequence both
+    call rng._randbelow(m) once, so this is the draw rng.choice would make
+    from those integers listed in increasing order."""
+    k = rng.randrange(total - len(taken))
+    for t in taken:
+        if t > k:
+            break
+        k += 1
+    return k
 
 
 def _set_rank(n: int, cs: Sequence[int]) -> int:
@@ -475,23 +437,22 @@ def _unrank_set(k: int, n: int) -> tuple[int, ...]:
 def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_size: int) -> Iterator[tuple]:
     """Per drawn V, a coordinate set V does not shatter and a witness point
     whose pattern on it V misses, all drawn from rng in turn.  Both are
-    drawn from lazy sequences of the 2^n - |Sh(V)| non-shattered sets and
-    of the missing patterns in lex order, so neither all coordinate sets
-    nor all q^|cs| patterns are listed.  The certificate on cs expands into
+    drawn by rank, past the sorted ranks of the shattered sets and of the
+    patterns present, so neither all coordinate sets nor all q^|cs|
+    patterns are listed.  The certificate on cs expands into
     up to q^|cs| terms, so a drawn cs past the cap is refused."""
     for (pts,) in _instances([()], [_ground(n, q)], samples, max_size, rng):
         v = PointSet(n, q, pts)
         shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(v) if any(u))
-        cs = rng.choice(_Unranked(2**n - 1, shattered, functools.partial(_unrank_set, n=n)))
+        cs = _unrank_set(_draw_outside(rng, 2**n - 1, shattered), n)
         if q ** len(cs) > _EXHAUSTIVE_CAP:
             raise ValueError(
                 f"the certificate on the {len(cs)} drawn coordinates {list(cs)} expands into up to "
                 f"{q}^{len(cs)} terms, past the cap of {_EXHAUSTIVE_CAP}; use a smaller --n (n=)"
             )
         present = sorted({functools.reduce(lambda code, c: code * q + c, r, 0) for r in v.restrictions(cs)})
-        missing = _Unranked(q ** len(cs), present, functools.partial(_grid_point, len(cs), q))
         witness = [0] * n
-        for c, value in zip(cs, rng.choice(missing)):
+        for c, value in zip(cs, _grid_point(len(cs), q, _draw_outside(rng, q ** len(cs), present))):
             witness[c - 1] = value
         yield n, q, pts, cs, witness
 
@@ -504,23 +465,13 @@ def _check_certificate(item: tuple) -> tuple[int, list[dict]]:
     fails = []
     hit = _first_nonzero([cert], v)
     if hit is not None:
-        fails.append(
-            {
-                "params": {"points": [list(p) for p in v], "coords": list(cs), "witness": witness},
-                "expected": "certificate vanishes on V",
-                "actual": f"nonzero at {list(hit[1])}",
-            }
-        )
+        params = {"points": _listed(v), "coords": list(cs), "witness": witness}
+        fails.append(_failure(params, "certificate vanishes on V", f"nonzero at {list(hit[1])}"))
     for order in _BOTH_ORDERS:
         lead = leading_monomial(cert, order)
         if lead != expected_lead:
-            fails.append(
-                {
-                    "params": {"coords": list(cs), "witness": witness, "order": order.value},
-                    "expected": list(expected_lead.exponents),
-                    "actual": list(lead.exponents),
-                }
-            )
+            params = {"coords": list(cs), "witness": witness, "order": order.value}
+            fails.append(_failure(params, list(expected_lead.exponents), list(lead.exponents)))
     return 1, fails
 
 
@@ -544,9 +495,9 @@ def _check_sphere_attains(item: tuple) -> tuple[int, list[dict]]:
     params = {"n": n, "d": d, "s": s, "q": q}
     fails = []
     if len(sphere) != limit:
-        fails.append({"params": params, "expected": limit, "actual": len(sphere)})
+        fails.append(_failure(params, limit, len(sphere)))
     if worst > s:
-        fails.append({"params": params, "expected": f"no shattered set of size {s + 1}", "actual": worst})
+        fails.append(_failure(params, f"no shattered set of size {s + 1}", worst))
     return 2, fails
 
 
@@ -561,6 +512,12 @@ def _suite_hamming_sharpness(n, d, s, q, jobs=1):
     strictly unattainable when q > 2 and s + d < n (checked exhaustively)."""
     limit = bound("hamming", n, d=d, s=s, q=q).value
     if n == s + d:
+        size, _ = _ground(n, q, d, sphere=True)
+        if size > _EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"the radius-{d} Hamming sphere of {size} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
+                f"lower n instead"
+            )
         return _pmap(_check_sphere_attains, [(n, d, s, q, limit)], jobs)
     if q == 2:
         raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
@@ -569,9 +526,7 @@ def _suite_hamming_sharpness(n, d, s, q, jobs=1):
     best = max(sizes, default=0)
     if best < limit:
         return checked, []
-    return checked, [
-        {"params": {"n": n, "d": d, "s": s, "q": q}, "expected": f"strict gap below {limit}", "actual": best}
-    ]
+    return checked, [_failure({"n": n, "d": d, "s": s, "q": q}, f"strict gap below {limit}", best)]
 
 
 def _check_km(item: tuple) -> tuple[int, list[dict]]:
@@ -594,13 +549,7 @@ def _check_km(item: tuple) -> tuple[int, list[dict]]:
         problems.append(f"slice shatters a set of size {worst}")
     if not problems:
         return 1, []
-    return 1, [
-        {
-            "params": {"n": n, "s": s, "q": q},
-            "expected": "extremal witness properties",
-            "actual": "; ".join(problems),
-        }
-    ]
+    return 1, [_failure({"n": n, "s": s, "q": q}, "extremal witness properties", "; ".join(problems))]
 
 
 def _suite_km_sharpness(n_max, s_max, q_max, jobs=1):
@@ -628,13 +577,7 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
         try:
             alon_compress(v, order, trace_sets=trace_sets)
         except RuntimeError as exc:
-            fails.append(
-                {
-                    "params": {"points": [list(p) for p in pts], "order": order.value},
-                    "expected": "invariants hold",
-                    "actual": str(exc),
-                }
-            )
+            fails.append(_failure({"points": _listed(pts), "order": order.value}, "invariants hold", str(exc)))
     return 1, fails
 
 
@@ -649,13 +592,8 @@ def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
     worst = _max_shattered(PointSet(n, q, pts))
     if worst <= cap:
         return 1, []
-    return 1, [
-        {
-            "params": {"n": n, "d": d, "q": q, "points": [list(p) for p in pts]},
-            "expected": f"shattered sets of size at most {cap}",
-            "actual": worst,
-        }
-    ]
+    params = {"n": n, "d": d, "q": q, "points": _listed(pts)}
+    return 1, [_failure(params, f"shattered sets of size at most {cap}", worst)]
 
 
 def _suite_shatter_cap(n, q, jobs=1):
@@ -673,7 +611,7 @@ def _check_q2_bound(item: tuple) -> tuple[int, list[dict]]:
     if got == comb(n, s):
         return 1, []
     params = {k: v for k, v in {"n": n, "d": d, "s": s, "name": name}.items() if v is not None}
-    return 1, [{"params": params, "expected": comb(n, s), "actual": got}]
+    return 1, [_failure(params, comb(n, s), got)]
 
 
 def _suite_q2_consistency(n_max, jobs=1):
@@ -756,8 +694,9 @@ _DIFF_SUITES = ("uniform-binary", "hamming-sphere", "ballot-count", "blowup")
 def run_suite(name: str, **params) -> Report:
     """Run a named suite on its keyword parameters, None counting as not
     given, and wrap its outcome in a Report.  A parameter it does not take,
-    a missing one, an integer below its least value, or seed or max_size
-    without samples raises ValueError."""
+    a missing one, a bool or non-integer value of an integer parameter or
+    one below its least value, or seed or max_size without samples raises
+    ValueError."""
     fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
@@ -770,6 +709,8 @@ def run_suite(name: str, **params) -> Report:
         raise ValueError(f"suite {name}{problem}; it takes {', '.join(takes) or 'no parameters'}")
     for key, value in given.items():
         if key in _LEAST:
+            if isinstance(value, bool) or int(value) != value:
+                raise ValueError(f"suite parameter {key}={value!r} must be an integer")
             given[key] = value = int(value)
             least = _LEAST.get((name, key), _LEAST[key])
             if least is not None and value < least:
@@ -783,7 +724,7 @@ def run_suite(name: str, **params) -> Report:
     checked, failures = fn(**given)
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
     failures = sorted(failures, key=lambda f: json.dumps(f, sort_keys=True, default=str))
-    clean = {k: (v.value if isinstance(v, TermOrder) else v) for k, v in params.items()}
+    clean = {k: (v.value if isinstance(v, TermOrder) else v) for k, v in {**params, **given}.items()}
     return Report(
         suite=name,
         params=clean,

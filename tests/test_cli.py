@@ -1,5 +1,7 @@
 """Tuple-file parsing and the command-line surface, through dispatch()."""
 
+import argparse
+import inspect
 import itertools
 import json
 import os
@@ -143,6 +145,19 @@ class TestCoreCommands:
         exponents = json.loads(out)
         assert len(exponents) == 4
         assert exponents[0] == [0, 0]
+
+    @pytest.mark.parametrize("command", ["sm", "compress"])
+    def test_lex_in_high_dimension(self, capsys, tmp_path, command):
+        # the lex standard monomials once recursed one level per coordinate,
+        # past the interpreter's recursion limit
+        n = 1500
+        path = tmp_path / "two.txt"
+        path.write_text(f"{n} 2\n" + " ".join(["0"] * n) + "\n" + " ".join(["1"] * n) + "\n")
+        code, out, err = run_cli(capsys, command, "--in", str(path), "--order", "lex", "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        exponents = payload if command == "sm" else payload["points"]
+        assert exponents == [[0] * n, [0] * (n - 1) + [1]]
 
     def test_sm_text(self, capsys, sphere_file):
         code, out, _ = run_cli(capsys, "sm", "--in", sphere_file, "--order", "deglex")
@@ -313,7 +328,7 @@ class TestNoHangOrExhaustion:
 
     def test_certificate_draw_of_a_large_set_matches_a_brute_listing(self):
         # seed 10102 draws a 15-element set at n=16; the listing below is
-        # the one the lazy sequences replace, and consumes rng the same way
+        # the one the draws by rank replace, and consumes rng the same way
         n, q, seed = 16, 2, 10102
         brute_rng = random.Random(seed)
         grid = shatterbasis.verify._ground(n, q)
@@ -354,6 +369,11 @@ class TestNoHangOrExhaustion:
             (["shatter-certificates", "--n", "1000000000", "--q", "3", "--samples", "1", "--seed", "1",
               "--max-size", "3"], 1),
             (["blowup", "--n", "1000000000", "--q", "3", "--samples", "1", "--seed", "1"], 1),
+            # a sampled slice is sized before it is listed, and the sphere of
+            # the equality case before it is built
+            (["search-uniform", "--n", "20", "--q", "3", "--samples", "1", "--seed", "1", "--max-size", "3"], 2),
+            (["search-hamming", "--n", "20", "--q", "3", "--samples", "1", "--seed", "1", "--max-size", "3"], 2),
+            (["hamming-sharpness", "--n", "30", "--d", "15", "--s", "15", "--q", "3"], 2),
         ],
     )
     def test_refused_before_any_work(self, argv, seconds):
@@ -482,6 +502,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "verdict: fail" in out
         assert any(line.startswith("failure: ") for line in out.splitlines())
+
+    def test_flags_are_the_suite_parameters(self):
+        parser = shatterbasis.cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest for a in commands.choices["verify"]._actions} - {"help", "suite", "format"}
+        signatures = [inspect.signature(fn).parameters for fn in shatterbasis.verify._SUITES.values()]
+        assert flags == {key for params in signatures for key in params}
 
     def test_seedless_sampling_is_usage_error(self, capsys):
         code, _, err = run_cli(

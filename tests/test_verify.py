@@ -181,6 +181,11 @@ class TestRegistry:
             ("sm-cardinality", dict(n=3, q=3), "use samples= and seed= instead"),
             ("alon-compress", dict(n=3, q=3), "use samples= and seed= instead"),
             ("search-uniform", dict(n=7, q=2), "use samples= and seed= instead"),
+            # a sampled slice is listed before it is drawn from
+            ("search-uniform", dict(n=20, q=3, samples=1, seed=1, max_size=3), "lower n instead"),
+            ("search-hamming", dict(n=20, q=3, samples=1, seed=1, max_size=3), "lower n instead"),
+            # the equality case lists the whole sphere
+            ("hamming-sharpness", dict(n=30, d=15, s=15, q=3), "lower n instead"),
         ],
     )
     def test_cap_refusal_names_a_remedy_the_suite_offers(self, name, params, remedy):
@@ -237,6 +242,19 @@ class TestRegistry:
         assert (given["checked"], given["failures"]) == (omitted["checked"], omitted["failures"])
         assert given["params"] == {**params, **nones}
         assert given["verdict"] == ("fail" if name == "blowup" else "pass")
+
+    @pytest.mark.parametrize("key, value", [("n", 2.7), ("n", True), ("q", "3"), ("samples", 1.5)])
+    def test_integer_parameter_is_not_truncated(self, key, value):
+        # int(2.7) would run the n=2 instances and echo n: 2.7
+        params = {**dict(n=2, q=3, samples=5, seed=1), key: value}
+        with pytest.raises(ValueError) as info:
+            run_suite("search-km", **params)
+        assert str(info.value) == f"suite parameter {key}={value!r} must be an integer"
+
+    def test_integer_valued_parameter_is_echoed_as_run(self):
+        report = run_suite("search-km", n=2.0, q=3)
+        assert report.params == {"n": 2, "q": 3} and type(report.params["n"]) is int
+        assert report.checked == run_suite("search-km", n=2, q=3).checked
 
 
 class TestSuiteOutcomes:
@@ -520,6 +538,8 @@ class TestInstanceKernel:
             ("search-km", dict(n=20, q=3, samples=1, seed=1), ["_check_size", "bound"]),
             ("sm-cardinality", dict(n=20, q=3, samples=1, seed=1), ["_check_cardinality"]),
             ("hamming-sharpness", dict(n=5, d=2, s=1, q=3), ["_check_gap_subset"]),
+            ("search-uniform", dict(n=20, q=3, samples=1, seed=1, max_size=3), ["_check_size", "bound"]),
+            ("hamming-sharpness", dict(n=30, d=15, s=15, q=3), ["_check_sphere_attains"]),
         ],
     )
     def test_a_run_past_the_cap_checks_no_instance(self, monkeypatch, name, params, stubbed):
