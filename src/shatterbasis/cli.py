@@ -196,15 +196,19 @@ def _cmd_shatter(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     _require(args, "bounds", "n")
     report = bound(args.name, args.n, d=args.d, s=args.s, q=args.q)
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        shown = ", ".join(
-            f"{key}={report.parameters[key]}"
-            for key in ("n", "d", "s", "q")
-            if key in report.parameters
-        )
-        _emit(f"{report.name}({shown}) = {report.value}")
+    shown = ", ".join(f"{k}={report.parameters[k]}" for k in ("n", "d", "s", "q") if k in report.parameters)
+    # the exact value may have more digits than int -> str allows by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            _emit_json(report.to_dict())
+        else:
+            _emit(f"{report.name}({shown}) = {report.value}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -319,16 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("--in", dest="infile", default=None, metavar="FILE")
     _add_common(construct, order=False)
 
-    for name, needs_order in (
-        ("sm", True),
-        ("gb", True),
-        ("shatter", False),
-        ("certify", True),
-        ("compress", True),
-    ):
+    for name in ("sm", "gb", "shatter", "certify", "compress"):
         sub = commands.add_parser(name, help=f"{name} of the system in --in")
         sub.add_argument("--in", dest="infile", required=True, metavar="FILE")
-        _add_common(sub, order=needs_order)
+        _add_common(sub, order=name != "shatter")
 
     bounds = commands.add_parser("bounds", help="evaluate a named bound")
     bounds.add_argument("--name", choices=BOUND_NAMES, required=True)

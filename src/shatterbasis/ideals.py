@@ -6,9 +6,9 @@ those not divisible by the leading monomial of any ideal element.  The
 number of standard monomials always equals |V|.
 
 The construction walks the normal set with ``tuples.down_set`` in the
-term order, skipping multiples of the leading monomials found so far.  A
-candidate whose evaluation vector on V is independent of the ones found
-so far is standard; a dependent candidate yields a monic generator whose
+term order, closed: a candidate is tested once all its divisors are
+standard.  One whose evaluation vector on V is independent of the ones
+found so far is standard; a dependent one yields a monic generator whose
 tail is supported on the standard monomials below it.  The generators
 collected this way form the reduced Groebner basis of I(V).
 
@@ -168,10 +168,6 @@ def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point
     return None
 
 
-def _divides(a: Point, b: Point) -> bool:
-    return all(map(operator.le, a, b))
-
-
 def _reduce_against(vec: list[int], rows: list[tuple[int, list[int]]]) -> tuple[list[int], int]:
     # Row k holds |V| - k live columns and k + 1 weights.  With a zero weight
     # for row k's monomial the candidate matches it; the step clears the
@@ -217,25 +213,22 @@ def _eliminate(
     primitive, and no generator is recorded: the walk finds the normal
     set alone.
 
-    The candidates come from ``down_set`` in the order; its membership test
-    records a row (a standard monomial, which the walk grows) or a generator.
+    The candidates, all of whose divisors are standard, come from the closed
+    ``down_set`` walk in the order; its membership test reduces each to a
+    row (a standard monomial, which the walk grows) or a generator.
     """
     n, size = v.n, len(v)
     table = _EvaluationTable(v)
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int]]] = []
     generators: list[tuple[Point, list[int], int]] = []
-    leads: list[Point] = []
 
     def independent(expo: Point) -> bool:
-        if any(_divides(lead, expo) for lead in leads):
-            return False
         # expo's parent in the table divides it, so it is standard and already built
         row, w = _reduce_against(table.vector(expo), rows)
         live = size - len(rows)
         pivot = next((i for i in range(live) if row[i]), None)
         if pivot is None:
-            leads.append(expo)
             if weights:
                 generators.append((expo, row[live:], w))
             return False
@@ -303,10 +296,9 @@ def vanishing_basis(
 ) -> tuple[GroebnerBasis, StandardMonomialSet]:
     """Reduced Groebner basis and standard monomials of I(V).
 
-    Candidates are visited in increasing order, skipping multiples of the
-    leading monomials already found, so the standard monomials come out
-    as exactly the |V| order-minimal monomials with independent
-    evaluation vectors.
+    Candidates are visited in increasing order, each once all its divisors
+    are standard, so the standard monomials come out as exactly the |V|
+    order-minimal monomials with independent evaluation vectors.
     """
     if not len(v):
         raise EmptyPointSetError("the vanishing ideal of the empty set is the whole ring")
@@ -352,10 +344,10 @@ def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder)
 
     The test is the standard counting argument: every element must vanish
     on V (checked in integers, after clearing denominators), and exactly
-    |V| monomials must be divisible by no leading monomial.  Those form a
-    down-set, grown from 1 and counted only up to |V| + 1, so an infinite
-    or too large normal set stops the count early.  Accepts reduced and
-    non-reduced bases alike.
+    |V| monomials must be divisible by no leading monomial: the closed walk
+    from 1 that rejects the leading monomials, counted only up to |V| + 1,
+    so an infinite or too large normal set stops the count early.  Accepts
+    reduced and non-reduced bases alike.
     """
     n = v.n
     for g in basis:
@@ -363,17 +355,9 @@ def certify_groebner(v: PointSet, basis: Sequence[Polynomial], order: TermOrder)
             raise ValueError(f"dimension mismatch: {g.n} vs {n}")
     if _first_nonzero(basis, v) is not None:
         return False
-    # Only the minimal leads matter: sorted by degree, a lead comes after
-    # every lead that divides it, and is dropped when one of them does.
-    leads: list[Point] = []
-    for lead in sorted({leading_monomial(g, order).exponents for g in basis if g}, key=sum):
-        if not any(_divides(m, lead) for m in leads):
-            leads.append(lead)
-
-    def free(u: Point) -> bool:
-        return not any(_divides(lead, u) for lead in leads)
-
-    free_count = sum(1 for _ in itertools.islice(down_set(n, free), len(v) + 1))
+    leads = {leading_monomial(g, order).exponents for g in basis if g}
+    free = down_set(n, lambda u: u not in leads, key=order._key)
+    free_count = sum(1 for _ in itertools.islice(free, len(v) + 1))
     return free_count == len(v)
 
 

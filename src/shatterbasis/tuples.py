@@ -198,7 +198,20 @@ def down_set(
     a key that grows along every edge u -> u + e_i, as a term order's does,
     a heap makes keep see its arguments, and the members come out, in
     increasing key order; without one the walk is a depth-first stack.
+    A keyed walk is closed: each parent u - e_i has a smaller key and is
+    decided first, so a candidate with a non-member parent is rejected
+    unseen.  An unkeyed walk shows keep every canonical child of a member,
+    as gb_blowup records that whole border.
     """
+    if key:
+        test, members = keep, set()
+
+        def keep(u: Point) -> bool:
+            if all(u[:i] + (e - 1,) + u[i + 1 :] in members for i, e in enumerate(u) if e) and test(u):
+                members.add(u)
+                return True
+            return False
+
     zero = (0,) * n
     # (key, vector, position of its last nonzero entry); term order keys never tie
     pending = [(key(zero) if key else None, zero, 0)]

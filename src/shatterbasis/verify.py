@@ -616,10 +616,14 @@ def _check_q2_bound(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_q2_consistency(n_max, jobs=1):
     """At q=2 the q-ary uniform and Hamming bounds collapse to C(n, s)."""
-    instances = [("uniform", n, None, s) for n in range(1, n_max + 1) for s in range(n // 2 + 1)]
-    instances += [
-        ("hamming", n, d, s) for n in range(1, n_max + 1) for d in range(n + 1) for s in range(n - d + 1)
-    ]
+    # the sum over n of n // 2 + 1 uniform and (n + 1)(n + 2) / 2 Hamming instances
+    count = n_max + n_max**2 // 4 + comb(n_max + 3, 3) - 1
+    if count > _EXHAUSTIVE_CAP:
+        raise ValueError(f"the {count} instances exceed the cap of {_EXHAUSTIVE_CAP}; lower n_max instead")
+    instances = itertools.chain(
+        (("uniform", n, None, s) for n in range(1, n_max + 1) for s in range(n // 2 + 1)),
+        (("hamming", n, d, s) for n in range(1, n_max + 1) for d in range(n + 1) for s in range(n - d + 1)),
+    )
     return _pmap(_check_q2_bound, instances, jobs)
 
 

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import shatterbasis
 import shatterbasis.verify
 from shatterbasis.cli import dispatch, parse_tuples, render_tuples
+from shatterbasis.closedform import bound
 from shatterbasis.ideals import vanishing_basis
 from shatterbasis.polyring import TermOrder, parse_polynomial
 from shatterbasis.tuples import PointSet, complete_uniform, hamming_sphere, shattered_family, shatters
@@ -159,6 +161,47 @@ class TestCoreCommands:
         exponents = payload if command == "sm" else payload["points"]
         assert exponents == [[0] * n, [0] * (n - 1) + [1]]
 
+    @pytest.mark.parametrize(
+        "command, order",
+        [("sm", "deglex"), ("gb", "deglex"), ("gb", "lex"), ("certify", "deglex"), ("certify", "lex")],
+    )
+    def test_two_points_in_high_dimension(self, tmp_path, command, order):
+        # a multiple of a leading monomial was once found by scanning every
+        # lead found so far, which made two points cost O(n^3)
+        n = 1500
+        path = tmp_path / "two.txt"
+        path.write_text(f"{n} 2\n" + " ".join(["0"] * n) + "\n" + " ".join(["1"] * n) + "\n")
+        argv = [command, "--in", str(path), "--order", order, "--format", "json"]
+        proc = run_limited(MAIN.format(argv=argv), timeout=15)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        if command == "sm":
+            assert payload == [[0] * n, [0] * (n - 1) + [1]]
+        elif command == "gb":
+            assert len(payload) == n
+        else:
+            assert payload["certified"] is True and payload["standard_monomials"] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bound_past_the_int_str_limit(self, capsys, fmt):
+        # 4,777 digits, past the interpreter's default int -> str limit of
+        # 4,300; Decimal converts exactly and without that limit
+        value = bound("km", 5000, s=2, q=10).value
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        argv = ["bounds", "--name", "km", "--n", "5000", "--s", "2", "--q", "10", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        if fmt == "json":
+            assert json.loads(out, parse_int=Decimal)["value"] == value
+        else:
+            assert out == f"km(n=5000, s=2, q=10) = {Decimal(value)}\n"
+
+    def test_q2_consistency_past_the_cap_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "q2-consistency", "--n-max", "183")
+        assert code == 2 and out == ""
+        assert err == "error: the 1063794 instances exceed the cap of 1048576; lower n_max instead\n"
+
     def test_sm_text(self, capsys, sphere_file):
         code, out, _ = run_cli(capsys, "sm", "--in", sphere_file, "--order", "deglex")
         assert code == 0
@@ -255,9 +298,13 @@ class TestOutputSensitiveCommands:
         assert payload["standard_monomials"] == 1
 
 
-def run_limited(code):
+# runs the command line on argv in a fresh interpreter, through run_limited
+MAIN = "import sys\nfrom shatterbasis.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n"
+
+
+def run_limited(code, timeout=30):
     """Run code in a fresh interpreter that imports this package, with its
-    address space alone capped at 1.5 GB; fails on a 30 s timeout."""
+    address space alone capped at 1.5 GB; fails on the timeout, in seconds."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
@@ -267,7 +314,7 @@ def run_limited(code):
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        timeout=30,
+        timeout=timeout,
         preexec_fn=limit,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
@@ -277,7 +324,7 @@ class TestNoHangOrExhaustion:
     """Suites never list the q^n grid or all 2^n coordinate sets, refuse
     draws past the cap, and a dead worker ends the run."""
 
-    VERIFY = "import sys\nfrom shatterbasis.cli import main\nsys.argv[1:] = {argv!r}\nmain()\n"
+    VERIFY = MAIN
 
     def test_sampled_grid_suite_in_high_dimension(self):
         argv = ["verify", "--suite", "sm-cardinality", "--n", "20", "--q", "3",
@@ -374,6 +421,9 @@ class TestNoHangOrExhaustion:
             (["search-uniform", "--n", "20", "--q", "3", "--samples", "1", "--seed", "1", "--max-size", "3"], 2),
             (["search-hamming", "--n", "20", "--q", "3", "--samples", "1", "--seed", "1", "--max-size", "3"], 2),
             (["hamming-sharpness", "--n", "30", "--d", "15", "--s", "15", "--q", "3"], 2),
+            # the instances are counted by formula, not listed
+            (["q2-consistency", "--n-max", "1000"], 2),
+            (["q2-consistency", "--n-max", "1000000000"], 2),
         ],
     )
     def test_refused_before_any_work(self, argv, seconds):
@@ -385,6 +435,15 @@ class TestNoHangOrExhaustion:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert elapsed < seconds, (elapsed, lines[0])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bound_past_the_int_str_limit_exits_zero(self, fmt):
+        # once exit 2: "Exceeds the limit (4300 digits) for integer string conversion"
+        argv = ["bounds", "--name", "km", "--n", "5000", "--s", "2", "--q", "10", "--format", fmt]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(proc.stdout) > 4777
 
     @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])
     def test_sampled_draw_refuses_past_the_cap(self, suite):

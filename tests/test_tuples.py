@@ -1,6 +1,7 @@
 """Tuple systems, set families and the named combinatorial constructions."""
 
 import itertools
+import operator
 import random
 import tracemalloc
 from math import comb
@@ -265,6 +266,63 @@ class TestDownSet:
                     keys = [order._key(u) for u in seen]
                     assert keys == sorted(keys)
                     assert len(set(seen)) == len(seen)
+
+    def test_keyed_walk_is_closed(self):
+        # keep rejects only the leads themselves; closure rejects their
+        # multiples, each before keep sees it.  The powers x_i^4 keep the
+        # walk without top finite.
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            leads = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+            leads |= {tuple(4 * (k == i) for k in range(n)) for i in range(n)}
+            for order in TermOrder:
+                for top in (None, 1, 2):
+                    seen = []
+
+                    def keep(u):
+                        seen.append(u)
+                        return u not in leads
+
+                    bound = 3 if top is None else top
+                    box = itertools.product(range(bound + 1), repeat=n)
+                    expected = [u for u in box if not any(all(map(operator.le, m, u)) for m in leads)]
+                    walk = down_set(n, keep, top=top, key=order._key)
+                    assert list(itertools.islice(walk, len(expected) + 1)) == sorted(expected, key=order._key)
+                    members = set(expected)
+                    for u in seen:
+                        parents = [u[:i] + (e - 1,) + u[i + 1 :] for i, e in enumerate(u) if e]
+                        assert all(p in members for p in parents), u
+
+    def test_unkeyed_walk_shows_keep_every_canonical_child(self):
+        # gb_blowup records the whole border, so the depth-first walk is not
+        # closed: keep also sees the children whose other parents it rejected
+        rng = random.Random(16)
+        unclosed = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            leads = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+            for top in (1, 2):
+                seen = []
+
+                def keep(u):
+                    seen.append(u)
+                    return u not in leads
+
+                members = list(down_set(n, keep, top=top))
+                children = {
+                    u[:i] + (u[i] + 1,) + u[i + 1 :]
+                    for u in members
+                    for i in range(max((k for k, e in enumerate(u) if e), default=0), n)
+                    if u[i] < top
+                }
+                children.add((0,) * n)
+                assert sorted(seen) == sorted(children)
+                assert set(members) == children - leads
+                unclosed += sum(
+                    1 for u in members for i, e in enumerate(u) if e and u[:i] + (e - 1,) + u[i + 1 :] in leads
+                )
+        assert unclosed
 
     def test_rejected_zero_vector_yields_nothing(self):
         assert list(down_set(3, lambda u: False)) == []

@@ -550,6 +550,25 @@ class TestInstanceKernel:
             run_suite(name, **params)
         assert calls == []
 
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 182])
+    def test_q2_consistency_counts_its_instances_by_formula(self, monkeypatch, n_max):
+        # the stub counts the stream it is given and checks nothing
+        streams = []
+
+        def counting(check, items, jobs):
+            streams.append(items)
+            return sum(1 for _ in items), []
+
+        monkeypatch.setattr(verify, "_pmap", counting)
+        listed = sum(n // 2 + 1 + (n + 1) * (n + 2) // 2 for n in range(1, n_max + 1))
+        assert run_suite("q2-consistency", n_max=n_max).checked == listed
+        assert not isinstance(streams[0], (list, tuple))
+        if n_max == 182:
+            assert listed == 1_046_682
+        with pytest.raises(ValueError, match="^the 1063794 instances exceed the cap of 1048576; lower n_max instead$"):
+            run_suite("q2-consistency", n_max=183)
+        assert len(streams) == 1
+
 
 class TestWrappers:
     def test_counterexample_search_names(self):
