@@ -24,7 +24,9 @@ from .polyring import (
     field_polynomial,
     normal_form,
 )
-from .tuples import Point, PointSet, SetFamily, down_set, level_partition, subfamily_through, support
+from .tuples import (
+    Point, PointSet, SetFamily, ballot_member, down_set, level_partition, subfamily_through, support
+)
 
 __all__ = [
     "BoundReport",
@@ -81,12 +83,10 @@ def sm_hamming_sphere(
     """Standard monomials of the Hamming sphere of radius d in {0..q-1}^n.
 
     An exponent vector u qualifies iff, writing c for the number of
-    interior exponents (strictly between 0 and q-1) and T for the set of
-    full exponents (equal to q-1):
-
-    * c <= d and |T| <= min(d - c, n - d), and
-    * listing the non-interior positions in increasing order, the i-th
-      smallest member of T must sit at position >= 2i.
+    interior exponents (strictly between 0 and q-1) and rest for the
+    subsequence of the other exponents (equal to 0 or q-1), c <= d, rest
+    holds at most min(d - c, n - d) full exponents (equal to q-1), and rest
+    satisfies the paper's ballot condition (ballot_member).
 
     The qualifying vectors form a down-set, walked from the zero vector in
     increasing order.
@@ -98,13 +98,9 @@ def sm_hamming_sphere(
         raise ValueError("alphabet size q must be at least 2")
 
     def qualifies(u: Point) -> bool:
-        parts = level_partition(u, q)
-        c = len(parts.interior)
-        if c > d or len(parts.top) > min(d - c, n - d):
-            return False
-        rest = sorted(parts.top | parts.zero)
-        ranks = [r for r, pos in enumerate(rest, start=1) if pos in parts.top]
-        return all(r >= 2 * i for i, r in enumerate(ranks, start=1))
+        rest = [e for e in u if e in (0, q - 1)]
+        c = n - len(rest)
+        return c <= d and rest.count(q - 1) <= min(d - c, n - d) and ballot_member(rest, q)
 
     monos = down_set(n, qualifies, top=q - 1, key=order._key)
     return StandardMonomialSet(order, tuple(map(Monomial, monos)))

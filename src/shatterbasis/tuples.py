@@ -174,18 +174,8 @@ def level_partition(v: Sequence[int], q: int) -> LevelPartition:
 
 def shatters(v: PointSet, coords: Iterable[int]) -> bool:
     """Whether restricting v to the coordinates yields all q^|S| patterns."""
-    cs = sorted(set(coords))
-    if any(not 1 <= c <= v.n for c in cs):
-        raise ValueError(f"coordinates {cs} out of range 1..{v.n}")
-    want = v.q ** len(cs)
-    if len(v) < want:
-        return False
-    seen: set[Point] = set()
-    for p in v:
-        seen.add(tuple(p[c - 1] for c in cs))
-        if len(seen) == want:
-            return True
-    return len(seen) == want
+    coords = list(coords)
+    return len(v.restrictions(coords)) == v.q ** len(set(coords))
 
 
 def down_set(

@@ -153,6 +153,22 @@ def _grid_point(n: int, q: int, k: int) -> Point:
     return tuple([k // q ** (n - 1 - i) % q for i in range(n)])
 
 
+def _refuse(work: int, what: str, remedy: str = "") -> None:
+    """The one test of a run's stated work against the cap, made before its
+    first instance: past it, raise "<what> the cap of 1048576; <remedy>"."""
+    if work > _EXHAUSTIVE_CAP:
+        raise ValueError(f"{what} the cap of {_EXHAUSTIVE_CAP}" + (f"; {remedy}" if remedy else ""))
+
+
+def _refuse_system(n: int, size: Callable[[], int], remedy: str) -> None:
+    """Refuse a suite whose largest system, of size() >= n points, is too big for
+    the engine: an elimination holds |V| rows of |V| + 1 integers, so its work is
+    |V|^2.  n is tested first, so that size() is called only once n has passed."""
+    _refuse(n * n, f"the largest system's elimination, of at least {n}^2 entries, exceeds", remedy)
+    points = size()
+    _refuse(points**2, f"the largest system's elimination, of {points}^2 entries, exceeds", remedy)
+
+
 def _instances(
     heads: Iterable[tuple],
     grounds: Iterable[tuple],
@@ -168,26 +184,18 @@ def _instances(
     index as random.sample picks from any population.  Every refusal comes
     before the first head is read: the first slice whose 2^N - 1 subsets
     exceed the cap, a draw that could, or a sampled slice that would be
-    listed past the cap."""
+    listed past the cap, each told to _refuse."""
     slices = []
     for size, points in grounds:
         top = size if max_size is None else min(max_size, size)
-        # 2^N - 1 subsets exceed the cap exactly when N reaches this bit length
-        if samples is None and size >= (_EXHAUSTIVE_CAP + 1).bit_length():
-            raise ValueError(
-                f"exhaustive enumeration of the 2^{size} - 1 subsets of {size} "
-                f"points exceeds the cap of {_EXHAUSTIVE_CAP}; {remedy}"
-            )
-        if samples is not None and top > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"a sampled draw of up to {top} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
-                f"bound the draw with --max-size (max_size=)"
-            )
-        if samples is not None and not callable(points) and size > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"listing the {size} points of a sampled slice exceeds the cap of {_EXHAUSTIVE_CAP}; "
-                f"lower n instead"
-            )
+        if samples is None:
+            what = f"exhaustive enumeration of the 2^{size} - 1 subsets of {size} points exceeds"
+            _refuse((1 << min(size, 64)) - 1, what, remedy)
+        else:
+            what = f"a sampled draw of up to {top} points exceeds"
+            _refuse(top, what, "bound the draw with --max-size (max_size=)")
+            if not callable(points):
+                _refuse(size, f"listing the {size} points of a sampled slice exceeds", "lower n instead")
         slices.append((size, top, points))
     for head, (size, top, points) in zip(heads, slices):
         pick = points if callable(points) else tuple(points).__getitem__
@@ -284,7 +292,8 @@ def _check_uniform_binary(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_uniform_binary(n_max, jobs=1):
     """Closed-form normal set of complete uniform binary systems vs engine."""
-    instances = [(n, d) for n in range(1, n_max + 1) for d in range(n + 1)]
+    _refuse_system(n_max, lambda: comb(n_max, n_max // 2), "lower n_max instead")
+    instances = ((n, d) for n in range(1, n_max + 1) for d in range(n + 1))
     return _pmap(_check_uniform_binary, instances, jobs)
 
 
@@ -299,7 +308,9 @@ def _check_hamming_sphere(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_hamming_sphere(n_max, q, jobs=1):
     """Closed-form normal set of Hamming spheres vs engine, both orders."""
-    instances = [(n, d, q) for n in range(1, n_max + 1) for d in range(n + 1)]
+    sphere = functools.partial(_ground, n_max, q, sphere=True)
+    _refuse_system(n_max, lambda: max(sphere(d)[0] for d in range(n_max + 1)), "lower n_max or q instead")
+    instances = ((n, d, q) for n in range(1, n_max + 1) for d in range(n + 1))
     return _pmap(_check_hamming_sphere, instances, jobs)
 
 
@@ -319,24 +330,19 @@ def _check_blowup(item: tuple) -> tuple[int, list[dict]]:
 def _suite_blowup(n, q, samples=None, seed=None, order=None, jobs=1):
     """Blow-up closed forms vs engine plus certification of the basis."""
     order_values = tuple(o.value for o in (_BOTH_ORDERS if order is None else (TermOrder(order),)))
-    if n >= _EXHAUSTIVE_CAP.bit_length():  # 2^n > cap, told without computing 2^n
-        raise ValueError(f"the 2^{n} coordinate sets of a family exceed the cap of {_EXHAUSTIVE_CAP}")
+    _refuse(1 << min(n, 64), f"the 2^{n} coordinate sets of a family exceed")
+    if samples is None and n > _FAMILY_GROUND_CAP:
+        raise ValueError(f"exhaustive families need n <= {_FAMILY_GROUND_CAP}; pass samples= and seed=")
+    # the largest system is the blow-up of the family of every set
+    _refuse_system(n, lambda: q**n, "lower n or q instead")
     ground = [m for r in range(n + 1) for m in itertools.combinations(range(1, n + 1), r)]
     head = (n, q, order_values)
     if samples is None:
-        if n > _FAMILY_GROUND_CAP:
-            raise ValueError(
-                f"exhaustive families need n <= {_FAMILY_GROUND_CAP}; pass samples= and seed="
-            )
         return _pmap(_check_blowup, _instances([head], [(len(ground), sorted(ground))]), jobs)
-    rng, instances = random.Random(seed), []
-    for _ in range(samples):
-        while True:
-            pick = [m for m in ground if rng.random() < 0.5]
-            if pick:
-                instances.append(head + (tuple(sorted(pick)),))
-                break
-    return _pmap(_check_blowup, instances, jobs)
+    # each set of ground joins a family with chance 1/2, and an empty family is drawn again
+    rng = random.Random(seed)
+    families = filter(None, iter(lambda: [m for m in ground if rng.random() < 0.5], None))
+    return _pmap(_check_blowup, (head + (tuple(sorted(next(families))),) for _ in range(samples)), jobs)
 
 
 def _check_ballot_count(item: tuple) -> tuple[int, list[dict]]:
@@ -358,8 +364,15 @@ def _check_ballot_count(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_ballot_count(n_max, q_max, jobs=1):
     """Ballot stratum formula vs direct enumeration of the grid."""
-    instances = [(n, q) for n in range(1, n_max + 1) for q in range(2, q_max + 1)]
-    return _pmap(_check_ballot_count, instances, jobs)
+
+    def instances() -> Iterator[tuple]:
+        return ((n, q) for n in range(1, n_max + 1) for q in range(2, q_max + 1))
+
+    # an instance enumerates its q^n grid points; refusing the running total at
+    # the instance that passes the cap computes no power far past it
+    for total in itertools.accumulate(q**n for n, q in instances()):
+        _refuse(total, f"enumerating at least {total} grid points exceeds", "lower n_max or q_max instead")
+    return _pmap(_check_ballot_count, instances(), jobs)
 
 
 def _check_uniform_ballot(item: tuple) -> tuple[int, list[dict]]:
@@ -377,7 +390,8 @@ def _check_uniform_ballot(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_uniform_ballot(n_max, q, jobs=1):
     """Standard monomials of complete uniform systems are ballot members."""
-    instances = [(n, d, q) for n in range(1, n_max + 1) for d in range((q - 1) * n + 1)]
+    _refuse_system(n_max, lambda: _ground(n_max, q, (q - 1) * n_max // 2)[0], "lower n_max or q instead")
+    instances = ((n, d, q) for n in range(1, n_max + 1) for d in range((q - 1) * n + 1))
     return _pmap(_check_uniform_ballot, instances, jobs)
 
 
@@ -445,11 +459,8 @@ def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_siz
         v = PointSet(n, q, pts)
         shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(v) if any(u))
         cs = _unrank_set(_draw_outside(rng, 2**n - 1, shattered), n)
-        if q ** len(cs) > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"the certificate on the {len(cs)} drawn coordinates {list(cs)} expands into up to "
-                f"{q}^{len(cs)} terms, past the cap of {_EXHAUSTIVE_CAP}; use a smaller --n (n=)"
-            )
+        what = f"the certificate on the {len(cs)} drawn coordinates {list(cs)} expands into up to"
+        _refuse(q ** len(cs), f"{what} {q}^{len(cs)} terms, past", "use a smaller --n (n=)")
         present = sorted({functools.reduce(lambda code, c: code * q + c, r, 0) for r in v.restrictions(cs)})
         witness = [0] * n
         for c, value in zip(cs, _grid_point(len(cs), q, _draw_outside(rng, q ** len(cs), present))):
@@ -513,11 +524,7 @@ def _suite_hamming_sharpness(n, d, s, q, jobs=1):
     limit = bound("hamming", n, d=d, s=s, q=q).value
     if n == s + d:
         size, _ = _ground(n, q, d, sphere=True)
-        if size > _EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"the radius-{d} Hamming sphere of {size} points exceeds the cap of {_EXHAUSTIVE_CAP}; "
-                f"lower n instead"
-            )
+        _refuse(size, f"the radius-{d} Hamming sphere of {size} points exceeds", "lower n instead")
         return _pmap(_check_sphere_attains, [(n, d, s, q, limit)], jobs)
     if q == 2:
         raise ValueError("the strict-gap check (s + d < n) applies only for q > 2")
@@ -555,13 +562,21 @@ def _check_km(item: tuple) -> tuple[int, list[dict]]:
 def _suite_km_sharpness(n_max, s_max, q_max, jobs=1):
     """Bounded-maximal-coordinate systems attain the q-ary bound, shatter
     nothing too large, and their largest uniform slice keeps both virtues."""
-    instances = [
-        (n, q, s)
-        for n in range(1, n_max + 1)
-        for q in range(2, q_max + 1)
-        for s in range(0, min(s_max, n - 1) + 1)
-    ]
-    return _pmap(_check_km, instances, jobs)
+
+    def instances() -> Iterator[tuple]:
+        for n in range(1, n_max + 1):
+            for q in range(2, q_max + 1):
+                yield from ((n, q, s) for s in range(min(s_max, n - 1) + 1))
+
+    # an instance lists km_extremal's points, as many as the bound, and its shattered walk
+    # tests at most the sets of up to s + 1 coordinates, all n coordinates long; refusing the
+    # running total at the instance that passes the cap evaluates no bound far past it
+    remedy = "lower n_max, s_max or q_max instead"
+    for total in itertools.accumulate(
+        n * (bound("km", n, s=s, q=q).value + sum(comb(n, i) for i in range(s + 2))) for n, q, s in instances()
+    ):
+        _refuse(total, f"listing at least {total} coordinates over the instances exceeds", remedy)
+    return _pmap(_check_km, instances(), jobs)
 
 
 def _check_compress(item: tuple) -> tuple[int, list[dict]]:
@@ -618,8 +633,7 @@ def _suite_q2_consistency(n_max, jobs=1):
     """At q=2 the q-ary uniform and Hamming bounds collapse to C(n, s)."""
     # the sum over n of n // 2 + 1 uniform and (n + 1)(n + 2) / 2 Hamming instances
     count = n_max + n_max**2 // 4 + comb(n_max + 3, 3) - 1
-    if count > _EXHAUSTIVE_CAP:
-        raise ValueError(f"the {count} instances exceed the cap of {_EXHAUSTIVE_CAP}; lower n_max instead")
+    _refuse(count, f"the {count} instances exceed", "lower n_max instead")
     instances = itertools.chain(
         (("uniform", n, None, s) for n in range(1, n_max + 1) for s in range(n // 2 + 1)),
         (("hamming", n, d, s) for n in range(1, n_max + 1) for d in range(n + 1) for s in range(n - d + 1)),

@@ -424,6 +424,22 @@ class TestNoHangOrExhaustion:
             # the instances are counted by formula, not listed
             (["q2-consistency", "--n-max", "1000"], 2),
             (["q2-consistency", "--n-max", "1000000000"], 2),
+            # the largest system, grid or listing is stated by formula first
+            (["uniform-binary", "--n-max", "30"], 2),
+            (["hamming-sphere", "--n-max", "20", "--q", "3"], 2),
+            (["uniform-ballot", "--n-max", "20", "--q", "3"], 2),
+            (["ballot-count", "--n-max", "40", "--q-max", "6"], 2),
+            (["km-sharpness", "--n-max", "12", "--s-max", "3", "--q-max", "3"], 2),
+            (["km-sharpness", "--n-max", "1000000", "--s-max", "0", "--q-max", "2"], 2),
+            (["blowup", "--n", "19", "--q", "3", "--samples", "1", "--seed", "1"], 2),
+            # n_max is tested before any binomial, power or bound of it is computed
+            (["uniform-binary", "--n-max", "1000000000"], 2),
+            (["hamming-sphere", "--n-max", "1000000000", "--q", "3"], 2),
+            (["uniform-ballot", "--n-max", "1000000000", "--q", "3"], 2),
+            (["ballot-count", "--n-max", "1000000000", "--q-max", "6"], 2),
+            (["km-sharpness", "--n-max", "1000000000", "--s-max", "3", "--q-max", "3"], 2),
+            # every grid counts, not the largest alone: the sum over q of q points
+            (["ballot-count", "--n-max", "1", "--q-max", "1048576"], 2),
         ],
     )
     def test_refused_before_any_work(self, argv, seconds):

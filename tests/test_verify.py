@@ -186,6 +186,13 @@ class TestRegistry:
             ("search-hamming", dict(n=20, q=3, samples=1, seed=1, max_size=3), "lower n instead"),
             # the equality case lists the whole sphere
             ("hamming-sharpness", dict(n=30, d=15, s=15, q=3), "lower n instead"),
+            # the largest system, grid or listing is stated before any instance
+            ("uniform-binary", dict(n_max=13), "lower n_max instead"),
+            ("hamming-sphere", dict(n_max=8, q=3), "lower n_max or q instead"),
+            ("uniform-ballot", dict(n_max=8, q=3), "lower n_max or q instead"),
+            ("ballot-count", dict(n_max=11, q_max=4), "lower n_max or q_max instead"),
+            ("km-sharpness", dict(n_max=11, s_max=3, q_max=3), "lower n_max, s_max or q_max instead"),
+            ("blowup", dict(n=7, q=3, samples=1, seed=1), "lower n or q instead"),
         ],
     )
     def test_cap_refusal_names_a_remedy_the_suite_offers(self, name, params, remedy):
@@ -540,6 +547,12 @@ class TestInstanceKernel:
             ("hamming-sharpness", dict(n=5, d=2, s=1, q=3), ["_check_gap_subset"]),
             ("search-uniform", dict(n=20, q=3, samples=1, seed=1, max_size=3), ["_check_size", "bound"]),
             ("hamming-sharpness", dict(n=30, d=15, s=15, q=3), ["_check_sphere_attains"]),
+            ("uniform-binary", dict(n_max=13), ["_check_uniform_binary"]),
+            ("hamming-sphere", dict(n_max=8, q=3), ["_check_hamming_sphere"]),
+            ("uniform-ballot", dict(n_max=8, q=3), ["_check_uniform_ballot"]),
+            ("ballot-count", dict(n_max=11, q_max=4), ["_check_ballot_count"]),
+            ("km-sharpness", dict(n_max=12, s_max=3, q_max=3), ["_check_km"]),
+            ("blowup", dict(n=7, q=3, samples=1, seed=1), ["_check_blowup"]),
         ],
     )
     def test_a_run_past_the_cap_checks_no_instance(self, monkeypatch, name, params, stubbed):
@@ -568,6 +581,51 @@ class TestInstanceKernel:
         with pytest.raises(ValueError, match="^the 1063794 instances exceed the cap of 1048576; lower n_max instead$"):
             run_suite("q2-consistency", n_max=183)
         assert len(streams) == 1
+
+    @pytest.mark.parametrize(
+        "name, params, key, count",
+        [
+            # the largest run each admits, one step below its first refused one
+            ("uniform-binary", dict(n_max=12), "n_max", sum(n + 1 for n in range(1, 13))),
+            ("hamming-sphere", dict(n_max=7, q=3), "n_max", sum(n + 1 for n in range(1, 8))),
+            ("uniform-ballot", dict(n_max=7, q=3), "n_max", sum(2 * n + 1 for n in range(1, 8))),
+            ("ballot-count", dict(n_max=9, q_max=4), "n_max", 9 * 3),
+            ("km-sharpness", dict(n_max=10, s_max=3, q_max=3), "n_max", 2 * sum(min(n, 4) for n in range(1, 11))),
+            ("km-sharpness", dict(n_max=145, s_max=0, q_max=2), "n_max", 145),
+            ("blowup", dict(n=6, q=3, samples=2, seed=1), "n", 2),
+        ],
+    )
+    def test_each_suite_streams_its_instances_up_to_the_largest_run_it_admits(
+        self, monkeypatch, name, params, key, count
+    ):
+        # the stub counts the stream it is given and checks nothing
+        streams = []
+
+        def counting(check, items, jobs):
+            streams.append(items)
+            return sum(1 for _ in items), []
+
+        monkeypatch.setattr(verify, "_pmap", counting)
+        assert run_suite(name, **params).checked == count
+        assert not isinstance(streams[0], (list, tuple))
+        with pytest.raises(ValueError, match="exceeds the cap of 1048576"):
+            run_suite(name, **{**params, key: params[key] + 1})
+        assert len(streams) == 1
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            # the boundary runs that fit the test suite's time; those of the
+            # engine suites take 4-40 s, so they run stubbed only, above
+            ("ballot-count", dict(n_max=9, q_max=4), "n_max"),
+            ("km-sharpness", dict(n_max=145, s_max=0, q_max=2), "n_max"),
+            ("blowup", dict(n=6, q=3, samples=1, seed=1), "n"),
+        ],
+    )
+    def test_the_largest_run_admitted_still_passes(self, name, params, key):
+        assert run_suite(name, **params).verdict == "pass"
+        with pytest.raises(ValueError, match="exceeds the cap of 1048576"):
+            run_suite(name, **{**params, key: params[key] + 1})
 
 
 class TestWrappers:
