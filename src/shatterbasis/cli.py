@@ -184,7 +184,7 @@ def _cmd_gb(args: argparse.Namespace) -> int:
 
 def _cmd_shatter(args: argparse.Namespace) -> int:
     v = parse_tuples(_read_input(args.infile))
-    chars = PointSet(v.n, 2, _shattered_vectors(v))
+    chars = PointSet(v.n, 2, _shattered_vectors(v.n, v.q, v.points))
     log.info("%d shattered sets", len(chars))
     if args.format == "json":
         _emit_json([list(p) for p in chars])

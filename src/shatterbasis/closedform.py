@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .ideals import GroebnerBasis, StandardMonomialSet, vanishing_basis
 from .polyring import (
@@ -59,11 +60,12 @@ class BoundReport:
         return {"name": self.name, "parameters": dict(self.parameters), "value": self.value}
 
 
-def _choose(n: int, k: int) -> int:
-    # binomial with C(n, k) = 0 outside 0 <= k <= n
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
+def _terms(m: int, first: int, num: int = 1, den: int = 1) -> Iterator[int]:
+    # first * C(m, i) * (num/den)^i for i = 0..m, each from the one before by one
+    # multiply and one division, exact while every term is an integer
+    for i in range(m + 1):
+        yield first
+        first = first * ((m - i) * num) // ((i + 1) * den)
 
 
 def sm_uniform_binary(n: int, d: int, order: TermOrder = TermOrder.DEGLEX) -> StandardMonomialSet:
@@ -195,7 +197,7 @@ def count_ballot(n: int, q: int, i: int) -> int:
         raise ValueError("alphabet size q must be at least 2")
     if not 0 <= 2 * i <= n:
         raise ValueError(f"i={i} out of range 0..n/2 with n={n}")
-    return (q - 1) ** (n - i) * (_choose(n, i) - _choose(n, i - 1))
+    return (q - 1) ** (n - i) * (comb(n, i) - (comb(n, i - 1) if i else 0))
 
 
 def count_sphere_stratum(n: int, d: int, q: int, i: int) -> int:
@@ -206,7 +208,7 @@ def count_sphere_stratum(n: int, d: int, q: int, i: int) -> int:
         raise ValueError("alphabet size q must be at least 2")
     if not 0 <= i <= d <= n:
         raise ValueError(f"need 0 <= i <= d <= n, got i={i}, d={d}, n={n}")
-    return _choose(n, i) * (q - 2) ** i * _choose(n - i, d - i)
+    return comb(n, i) * (q - 2) ** i * comb(n - i, d - i)
 
 
 def count_sphere_stratum_capped(n: int, d: int, q: int, s: int, i: int) -> int:
@@ -223,8 +225,8 @@ def count_sphere_stratum_capped(n: int, d: int, q: int, s: int, i: int) -> int:
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range 0..{n}")
     if s <= min(d - i, n - d):
-        return _choose(n, s) * _choose(n - s, i) * (q - 2) ** i
-    return _choose(n, d) * _choose(d, i) * (q - 2) ** i
+        return comb(n, s) * comb(n - s, i) * (q - 2) ** i
+    return comb(n, d) * comb(d, i) * (q - 2) ** i
 
 
 BOUND_NAMES = ("sauer", "km", "frankl_pach", "uniform", "hamming", "sphere_slice")
@@ -268,17 +270,14 @@ def bound(
                 raise ValueError(f"bound {name!r} needs parameter {k}")
 
     params: dict[str, int] = {"n": n}
-    if name == "sauer":
-        need(s=s)
+    if name in ("sauer", "km"):  # sauer is the km stream at q = 2
+        km = {"q": q} if name == "km" else {}
+        need(s=s, **km)
+        r = q - 1 if km else 1
+        _require(r >= 1, "q >= 2", q=q)
         _require(0 <= s <= n - 1, "0 <= s <= n - 1", s=s, n=n)
-        value = sum(_choose(n, i) for i in range(s + 1))
-        params["s"] = s
-    elif name == "km":
-        need(s=s, q=q)
-        _require(q >= 2, "q >= 2", q=q)
-        _require(0 <= s <= n - 1, "0 <= s <= n - 1", s=s, n=n)
-        value = sum((q - 1) ** (n - i) * _choose(n, i) for i in range(s + 1))
-        params.update(s=s, q=q)
+        value = sum(islice(_terms(n, r**n, den=r), s + 1))
+        params.update(s=s, **km)
     elif name == "frankl_pach":
         need(s=s)
         _require(s >= 0, "s >= 0", s=s)
@@ -286,7 +285,7 @@ def bound(
         if d is not None:
             _require(0 <= d <= n, "0 <= d <= n", d=d, n=n)
             params["d"] = d
-        value = _choose(n, s)
+        value = comb(n, s)
         params["s"] = s
     elif name == "uniform":
         need(s=s, q=q)
@@ -296,9 +295,10 @@ def bound(
         if d is not None:
             _require(0 <= d <= (q - 1) * n, "0 <= d <= (q - 1)n", d=d, q=q, n=n)
             params["d"] = d
-        value = sum(
-            (q - 1) ** (n - i) * (_choose(n, i) - _choose(n, i - 1)) for i in range(s + 1)
-        )
+        # the ballot strata telescope to km(s) - km(s-1)/(q-1); each km term holds a q-1
+        terms = _terms(n, (q - 1) ** n, den=q - 1)
+        below = sum(islice(terms, s))
+        value = below + next(terms) - below // (q - 1)
         params.update(s=s, q=q)
     else:  # hamming and sphere_slice
         need(d=d, s=s, q=q)
@@ -309,7 +309,7 @@ def bound(
         _require(0 <= d <= n, "0 <= d <= n", d=d, n=n)
         _require(s >= 0, "s >= 0", s=s)
         _require(d + s <= n, "d + s <= n", d=d, s=s, n=n)
-        value = _choose(n, s) * sum(_choose(n - s, i) * (q - 2) ** i for i in range(d + 1))
+        value = comb(n, s) * sum(islice(_terms(n - s, 1, num=q - 2), d + 1))
         params.update(d=d, s=s, q=q)
     return BoundReport(name, params, value)
 

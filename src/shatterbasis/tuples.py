@@ -217,20 +217,19 @@ def down_set(
                     push((key(child) if key else None, child, i))
 
 
-def _shattered_vectors(v: PointSet) -> Iterator[Point]:
-    """The characteristic vectors of the coordinate sets v shatters, from
-    one down_set walk; not exported.
+def _shattered_vectors(n: int, q: int, pts: Sequence[Point]) -> Iterator[Point]:
+    """The characteristic vectors of the coordinate sets shattered by the
+    distinct points pts of {0..q-1}^n, from one down_set walk; not exported.
 
     A set's pattern code at a point is the point's restriction to it, read
     as a base-q number.  A tested set u is its canonical parent plus one
     coordinate i past the parent's last, so its codes are the parent's
-    times q plus each point's entry at i, and v shatters u iff they take
+    times q plus each point's entry at i, and pts shatter u iff they take
     all q^|u| values.  The walk is a depth-first stack, so a parent's
     codes are released when its last-tested child, the one with the
     smallest i, is tested; a member whose last coordinate is n has no
-    children and keeps none.  At most n + 1 lists of |v| codes are held.
+    children and keeps none.  At most n + 1 lists of |pts| codes are held.
     """
-    n, q, pts = v.n, v.q, v.points
     codes: dict[Point, list[int]] = {}
 
     def keep(u: Point) -> bool:
@@ -260,7 +259,7 @@ def shattered_family(v: PointSet) -> SetFamily:
     (see _shattered_vectors), in O(|v|) steps and with no restriction
     tuples; shatters stays the independent one-set test.
     """
-    return SetFamily(v.n, map(support, _shattered_vectors(v)))
+    return SetFamily(v.n, map(support, _shattered_vectors(v.n, v.q, v.points)))
 
 
 def classify(v: PointSet) -> Uniformity:

@@ -176,6 +176,7 @@ def _instances(
     max_size: int | None = None,
     rng: random.Random | None = None,
     remedy: str = "use samples= and seed= instead",
+    engine: bool = False,
 ) -> Iterator[tuple]:
     """head + (subset,) per instance of each slice, a slice being a head and
     a ground (size, points), its points sorted or decoded from their index.
@@ -183,8 +184,10 @@ def _instances(
     sorted draws of a uniform size in 1..max_size (default: all), picked by
     index as random.sample picks from any population.  Every refusal comes
     before the first head is read: the first slice whose 2^N - 1 subsets
-    exceed the cap, a draw that could, or a sampled slice that would be
-    listed past the cap, each told to _refuse."""
+    exceed the cap, a draw that could, a draw whose elimination would when
+    engine is set (|V|^2 entries, as the engine holds |V| rows of |V| + 1),
+    or a sampled slice that would be listed past the cap, each told to
+    _refuse."""
     slices = []
     for size, points in grounds:
         top = size if max_size is None else min(max_size, size)
@@ -192,8 +195,10 @@ def _instances(
             what = f"exhaustive enumeration of the 2^{size} - 1 subsets of {size} points exceeds"
             _refuse((1 << min(size, 64)) - 1, what, remedy)
         else:
-            what = f"a sampled draw of up to {top} points exceeds"
-            _refuse(top, what, "bound the draw with --max-size (max_size=)")
+            draw_remedy = "bound the draw with --max-size (max_size=)"
+            _refuse(top, f"a sampled draw of up to {top} points exceeds", draw_remedy)
+            if engine and samples:
+                _refuse(top**2, f"a sampled draw's elimination, of up to {top}^2 entries, exceeds", draw_remedy)
             if not callable(points):
                 _refuse(size, f"listing the {size} points of a sampled slice exceeds", "lower n instead")
         slices.append((size, top, points))
@@ -238,22 +243,22 @@ def _diff_closed_form(
 
 
 def _check_size(item: tuple) -> tuple[int, list[dict]]:
-    """For every s from the largest size v shatters up to the last of the
-    limits, v shatters nothing above s, so it may hold at most limits[s]
-    points."""
+    """For every s from the largest size the instance's points shatter up
+    to the last of the limits, they shatter nothing above s, so there may
+    be at most limits[s] of them."""
     params, limits, pts = item
-    v = PointSet(params["n"], params["q"], pts)
-    sizes = range(max(_max_shattered(v), 0), len(limits))
+    sizes = range(max(_max_shattered(params["n"], params["q"], pts), 0), len(limits))
     return len(sizes), [
-        _failure({**params, "s": s, "points": _listed(v)}, f"at most {limits[s]} points", len(v))
+        _failure({**params, "s": s, "points": _listed(pts)}, f"at most {limits[s]} points", len(pts))
         for s in sizes
-        if len(v) > limits[s]
+        if len(pts) > limits[s]
     ]
 
 
-def _max_shattered(v: PointSet) -> int:
-    """The size of the largest set v shatters; -1 when v is empty."""
-    return max(map(sum, _shattered_vectors(v)), default=-1)
+def _max_shattered(n: int, q: int, pts: Sequence[Point]) -> int:
+    """The size of the largest set the distinct points pts of {0..q-1}^n
+    shatter; -1 when there are none."""
+    return max(map(sum, _shattered_vectors(n, q, pts)), default=-1)
 
 
 # ---------------------------------------------------------------- suites
@@ -279,7 +284,7 @@ def _check_cardinality(item: tuple) -> tuple[int, list[dict]]:
 def _suite_sm_cardinality(n, q, samples=None, max_size=None, seed=None, jobs=1):
     """|standard monomials| == |V| for subsets of the full grid, both orders;
     in lex the recursion must also find the elimination's normal set."""
-    instances = _instances([(n, q)], [_ground(n, q)], samples, max_size, random.Random(seed))
+    instances = _instances([(n, q)], [_ground(n, q)], samples, max_size, random.Random(seed), engine=True)
     return _pmap(_check_cardinality, instances, jobs)
 
 
@@ -457,7 +462,7 @@ def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_siz
     up to q^|cs| terms, so a drawn cs past the cap is refused."""
     for (pts,) in _instances([()], [_ground(n, q)], samples, max_size, rng):
         v = PointSet(n, q, pts)
-        shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(v) if any(u))
+        shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(n, q, pts) if any(u))
         cs = _unrank_set(_draw_outside(rng, 2**n - 1, shattered), n)
         what = f"the certificate on the {len(cs)} drawn coordinates {list(cs)} expands into up to"
         _refuse(q ** len(cs), f"{what} {q}^{len(cs)} terms, past", "use a smaller --n (n=)")
@@ -492,7 +497,7 @@ def _suite_shatter_certificates(n, q, samples, cert_samples=0, max_size=None, se
     rng, grid = random.Random(seed), _ground(n, q)
     top = grid[0] - 1  # keep at least one pattern missing
     max_size = min(max_size or top, top)
-    implied = _instances([(n, q)], [grid], samples, max_size, rng)
+    implied = _instances([(n, q)], [grid], samples, max_size, rng, engine=True)
     checked, fails = _pmap(_check_shatter_implication, implied, jobs)
     # drawn only once the implication draws are spent, as rng is shared
     c, f = _pmap(_check_certificate, _certificate_draws(n, q, rng, cert_samples, max_size), jobs)
@@ -502,7 +507,7 @@ def _suite_shatter_certificates(n, q, samples, cert_samples=0, max_size=None, se
 def _check_sphere_attains(item: tuple) -> tuple[int, list[dict]]:
     n, d, s, q, limit = item
     sphere = hamming_sphere(n, d, q)
-    worst = _max_shattered(sphere)
+    worst = _max_shattered(n, q, sphere.points)
     params = {"n": n, "d": d, "s": s, "q": q}
     fails = []
     if len(sphere) != limit:
@@ -515,7 +520,7 @@ def _check_sphere_attains(item: tuple) -> tuple[int, list[dict]]:
 def _check_gap_subset(item: tuple) -> tuple[int, list[int]]:
     """The size of the subsystem if it shatters nothing above s."""
     n, q, s, pts = item
-    return 1, [len(pts)] if _max_shattered(PointSet(n, q, pts)) <= s else []
+    return 1, [len(pts)] if _max_shattered(n, q, pts) <= s else []
 
 
 def _suite_hamming_sharpness(n, d, s, q, jobs=1):
@@ -543,7 +548,7 @@ def _check_km(item: tuple) -> tuple[int, list[dict]]:
     limit = bound("km", n, s=s, q=q).value
     if len(w) != limit:
         problems.append(f"size {len(w)} != bound {limit}")
-    worst = _max_shattered(w)
+    worst = _max_shattered(n, q, w.points)
     if worst > s:
         problems.append(f"shatters a set of size {worst}")
     d, x = lower_bound_slice(n, s, q)
@@ -551,7 +556,7 @@ def _check_km(item: tuple) -> tuple[int, list[dict]]:
         problems.append("slice is not d-uniform")
     if len(x) * ((q - 1) * n + 1) < len(w):
         problems.append(f"slice size {len(x)} below pigeonhole guarantee")
-    worst = _max_shattered(x)
+    worst = _max_shattered(n, q, x.points)
     if worst > s:
         problems.append(f"slice shatters a set of size {worst}")
     if not problems:
@@ -598,13 +603,13 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
 
 def _suite_alon_compress(n, q, samples=None, max_size=None, seed=None, jobs=1):
     """Compression invariants: size kept, downward closed, traces dominated."""
-    instances = _instances([(n, q)], [_ground(n, q)], samples, max_size, random.Random(seed))
+    instances = _instances([(n, q)], [_ground(n, q)], samples, max_size, random.Random(seed), engine=True)
     return _pmap(_check_compress, instances, jobs)
 
 
 def _check_shatter_cap(item: tuple) -> tuple[int, list[dict]]:
     n, d, q, cap, pts = item
-    worst = _max_shattered(PointSet(n, q, pts))
+    worst = _max_shattered(n, q, pts)
     if worst <= cap:
         return 1, []
     params = {"n": n, "d": d, "q": q, "points": _listed(pts)}

@@ -440,6 +440,11 @@ class TestNoHangOrExhaustion:
             (["km-sharpness", "--n-max", "1000000000", "--s-max", "3", "--q-max", "3"], 2),
             # every grid counts, not the largest alone: the sum over q of q points
             (["ballot-count", "--n-max", "1", "--q-max", "1048576"], 2),
+            # a sampled draw handed to the engine states its elimination, |V|^2 for up to 3^8 points
+            (["sm-cardinality", "--n", "8", "--q", "3", "--samples", "1", "--seed", "1"], 2),
+            (["alon-compress", "--n", "8", "--q", "3", "--samples", "1", "--seed", "1"], 2),
+            (["shatter-certificates", "--n", "8", "--q", "3", "--samples", "1", "--cert-samples", "1",
+              "--seed", "1"], 2),
         ],
     )
     def test_refused_before_any_work(self, argv, seconds):
@@ -451,6 +456,19 @@ class TestNoHangOrExhaustion:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert elapsed < seconds, (elapsed, lines[0])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bound_of_a_wide_sum_exits_quickly(self, fmt):
+        # 10,001 terms of up to 6,000 digits, each made from the one before;
+        # built from scratch one by one they took 49 s
+        argv = ["bounds", "--name", "sauer", "--n", "20000", "--s", "10000", "--format", fmt]
+        start = time.perf_counter()
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(proc.stdout) > 6000
+        assert elapsed < 2, elapsed
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_bound_past_the_int_str_limit_exits_zero(self, fmt):

@@ -460,6 +460,32 @@ class TestBounds:
         with pytest.raises(ValueError):
             bound("nonsense", 4, s=1)
 
+    def test_every_bound_equals_its_comb_sum(self):
+        # the reference sums below take a fresh math.comb and power per term;
+        # d only bounds the uniform and Frankl-Pach systems, so its two ends stand for it there
+        for n in range(1, 61):
+            for s in range(n):
+                assert bound("sauer", n, s=s).value == sum(comb(n, i) for i in range(s + 1))
+                if 2 * (s + 1) <= n:
+                    for d in (None, 0, n):
+                        assert bound("frankl_pach", n, d=d, s=s).value == comb(n, s)
+            for q in range(2, 6):
+                km = [(q - 1) ** (n - i) * comb(n, i) for i in range(n)]
+                ballot = [
+                    (q - 1) ** (n - i) * (comb(n, i) - (comb(n, i - 1) if i else 0)) for i in range(n // 2 + 1)
+                ]
+                for s in range(n):
+                    assert bound("km", n, s=s, q=q).value == sum(km[: s + 1])
+                for s in range(n // 2 + 1):
+                    for d in (None, 0, (q - 1) * n):
+                        assert bound("uniform", n, d=d, s=s, q=q).value == sum(ballot[: s + 1])
+                for s in range(n + 1):
+                    sphere = itertools.accumulate(comb(n - s, i) * (q - 2) ** i for i in range(n - s + 1))
+                    for d, total in enumerate(sphere):
+                        assert bound("hamming", n, d=d, s=s, q=q).value == comb(n, s) * total
+                        if n >= 3 and q >= 3:
+                            assert bound("sphere_slice", n, d=d, s=s, q=q).value == comb(n, s) * total
+
     def test_km_dominates_uniform(self):
         # dropping the telescoping correction only enlarges the sum
         for n in range(1, 7):

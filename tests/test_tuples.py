@@ -205,11 +205,11 @@ class TestShatteredWalk:
             v = random_system(rng, n, q, rng.randint(10, 30))
             expected = reference_shattered_sets(v.points, q)
             assert set(shattered_family(v)) == expected
-            assert verify._max_shattered(v) == max(map(len, expected))
+            assert verify._max_shattered(v.n, v.q, v.points) == max(map(len, expected))
 
     def test_max_shattered_of_an_empty_system(self):
-        assert list(_shattered_vectors(PointSet(3, 2))) == []
-        assert verify._max_shattered(PointSet(3, 2)) == -1
+        assert list(_shattered_vectors(3, 2, ())) == []
+        assert verify._max_shattered(3, 2, ()) == -1
 
     def test_walk_releases_parent_codes(self):
         # every set of {0,1}^12 is shattered; keeping each member's 4096
@@ -217,7 +217,7 @@ class TestShatteredWalk:
         v = PointSet(12, 2, itertools.product(range(2), repeat=12))
         tracemalloc.start()
         try:
-            count = sum(1 for _ in _shattered_vectors(v))
+            count = sum(1 for _ in _shattered_vectors(v.n, v.q, v.points))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

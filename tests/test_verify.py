@@ -193,6 +193,14 @@ class TestRegistry:
             ("ballot-count", dict(n_max=11, q_max=4), "lower n_max or q_max instead"),
             ("km-sharpness", dict(n_max=11, s_max=3, q_max=3), "lower n_max, s_max or q_max instead"),
             ("blowup", dict(n=7, q=3, samples=1, seed=1), "lower n or q instead"),
+            # a sampled draw handed to the engine states its elimination, |V|^2
+            ("sm-cardinality", dict(n=8, q=3, samples=1, seed=1), "bound the draw with --max-size (max_size=)"),
+            ("alon-compress", dict(n=8, q=3, samples=1, seed=1), "bound the draw with --max-size (max_size=)"),
+            (
+                "shatter-certificates",
+                dict(n=8, q=3, samples=1, cert_samples=1, seed=1),
+                "bound the draw with --max-size (max_size=)",
+            ),
         ],
     )
     def test_cap_refusal_names_a_remedy_the_suite_offers(self, name, params, remedy):
