@@ -32,7 +32,7 @@ from .tuples import (
     km_extremal,
     lower_bound_slice,
 )
-from .verify import _SUITES, SUITE_NAMES, run_suite
+from .verify import _SUITES, SUITE_NAMES, _refuse, run_suite
 
 __all__ = ["parse_tuples", "render_tuples", "build_parser", "dispatch", "main"]
 
@@ -197,6 +197,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     _require(args, "bounds", "n")
     report = bound(args.name, args.n, d=args.d, s=args.s, q=args.q)
     shown = ", ".join(f"{k}={report.parameters[k]}" for k in ("n", "d", "s", "q") if k in report.parameters)
+    # int -> str takes time quadratic in the digits, so count them first: a
+    # value of b bits has at least floor((b - 1) log10 2) + 1, and
+    # 0.30102999566 is just under log10 2
+    digits = (report.value.bit_length() - 1) * 30102999566 // 10**11 + 1
+    _refuse(digits, f"printing a value of at least {digits} decimal digits exceeds", "lower n or q instead")
     # the exact value may have more digits than int -> str allows by default
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:

@@ -26,7 +26,7 @@ from .polyring import (
     normal_form,
 )
 from .tuples import (
-    Point, PointSet, SetFamily, ballot_member, down_set, level_partition, subfamily_through, support
+    Point, PointSet, SetFamily, _trace_sets, ballot_member, down_set, level_partition, subfamily_through, support
 )
 
 __all__ = [
@@ -160,24 +160,25 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
     joins the n alphabet polynomials, x_J times the lifted generators of
     the binary ideal of the subfamily through J for every J of that
     down-set, and the bare monomial x_J for every J one element above it
-    that the walk of the down-set tests.  Those include every minimal J
-    with an empty subfamily, and x_J for any larger such J is a multiple
-    of one of them.
+    that the depth-first trace walk of the down-set tests (J inside a
+    member iff that member's characteristic vector is all ones on J).
+    Those include every minimal J with an empty subfamily, and x_J for any
+    larger such J is a multiple of one of them.
     """
     _check_blowup(family, q)
     n = family.n
     out = [field_polynomial(i, q, n) for i in range(1, n + 1)]
     outside: list[Point] = []
 
-    def inside(u: Point) -> bool:
-        js = support(u)
-        if any(js <= m for m in family.members):
+    def inside(u: Point, codes: list[int]) -> bool:
+        # u lies inside a member iff that member's pattern on u is all ones
+        if (1 << sum(u)) - 1 in codes:
             return True
         outside.append(u)
         return False
 
     lifted: dict[Polynomial, Polynomial] = {}
-    for u in down_set(n, inside, top=1):
+    for u in _trace_sets(n, 2, family.to_point_set().points, inside):
         gb, _ = _binary_basis(subfamily_through(family, support(u)).to_point_set(), order)
         for g in gb:
             bar = lifted.get(g)

@@ -9,7 +9,6 @@ counting helpers used by the closed-form results.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -179,84 +178,76 @@ def shatters(v: PointSet, coords: Iterable[int]) -> bool:
 
 
 def down_set(
-    n: int, keep: Callable[[Point], bool], top: int | None = None, key: Callable | None = None
+    n: int, keep: Callable[[Point], bool], key: Callable[[Point], object], top: int | None = None
 ) -> Iterator[Point]:
     """The members of a down-set of N^n, given its membership test keep,
-    with entries at most top when top is given; not exported.  Each member
+    with entries at most top when top is given; not exported.  key must
+    grow along every edge u -> u + e_i, as a term order's does.  Each member
     is made once, from its canonical parent (one below it in its last
-    nonzero entry), so keep sees only the members and their border.  Given
-    a key that grows along every edge u -> u + e_i, as a term order's does,
-    a heap makes keep see its arguments, and the members come out, in
-    increasing key order; without one the walk is a depth-first stack.
-    A keyed walk is closed: each parent u - e_i has a smaller key and is
-    decided first, so a candidate with a non-member parent is rejected
-    unseen.  An unkeyed walk shows keep every canonical child of a member,
-    as gb_blowup records that whole border.
+    nonzero entry), and a heap makes keep see its arguments, and the
+    members come out, in increasing key order.  The walk is closed: each
+    parent u - e_i has a smaller key and is decided first, so a candidate
+    with a non-member parent is rejected unseen.
     """
-    if key:
-        test, members = keep, set()
-
-        def keep(u: Point) -> bool:
-            if all(u[:i] + (e - 1,) + u[i + 1 :] in members for i, e in enumerate(u) if e) and test(u):
-                members.add(u)
-                return True
-            return False
-
+    members: set[Point] = set()
     zero = (0,) * n
     # (key, vector, position of its last nonzero entry); term order keys never tie
-    pending = [(key(zero) if key else None, zero, 0)]
-    pop = functools.partial(heapq.heappop, pending) if key else pending.pop
-    push = functools.partial(heapq.heappush, pending) if key else pending.append
+    pending = [(key(zero), zero, 0)]
     while pending:
-        _, u, last = pop()
-        if keep(u):
+        _, u, last = heapq.heappop(pending)
+        if all(u[:i] + (e - 1,) + u[i + 1 :] in members for i, e in enumerate(u) if e) and keep(u):
+            members.add(u)
             yield u
             for i in range(last, n):
                 if top is None or u[i] < top:
                     child = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                    push((key(child) if key else None, child, i))
+                    heapq.heappush(pending, (key(child), child, i))
+
+
+def _trace_sets(
+    n: int, q: int, pts: Sequence[Point], keep: Callable[[Point, list[int]], bool]
+) -> Iterator[Point]:
+    """The characteristic vectors of a down-set of coordinate sets, decided
+    from how the points pts of {0..q-1}^n restrict to each set; not
+    exported.  keep(u, codes) gets each point's pattern code on u, its
+    restriction to u read as a base-q number.  A set u is tested once, as
+    its canonical parent plus one coordinate i past the parent's last, so
+    its codes are the parent's times q plus each point's entry at i.
+    Children are tested largest i first, depth first, and keep sees every
+    canonical child of a member, as gb_blowup records that whole border.
+    Each stack entry holds (parent, i, parent's codes), so at most n + 1
+    code lists are alive.  No pts yield nothing, before any vector is built:
+    every caller rejects the empty set when there are no codes.
+    """
+    if not pts:
+        return
+    zero, codes = (0,) * n, [0] * len(pts)
+    if not keep(zero, codes):
+        return
+    yield zero
+    stack = [(zero, i, codes) for i in range(n)]
+    while stack:
+        parent, i, codes = stack.pop()
+        u = parent[:i] + (1,) + parent[i + 1 :]
+        codes = [c * q + p[i] for c, p in zip(codes, pts)]
+        if keep(u, codes):
+            yield u
+            stack += [(u, j, codes) for j in range(i + 1, n)]
 
 
 def _shattered_vectors(n: int, q: int, pts: Sequence[Point]) -> Iterator[Point]:
     """The characteristic vectors of the coordinate sets shattered by the
-    distinct points pts of {0..q-1}^n, from one down_set walk; not exported.
-
-    A set's pattern code at a point is the point's restriction to it, read
-    as a base-q number.  A tested set u is its canonical parent plus one
-    coordinate i past the parent's last, so its codes are the parent's
-    times q plus each point's entry at i, and pts shatter u iff they take
-    all q^|u| values.  The walk is a depth-first stack, so a parent's
-    codes are released when its last-tested child, the one with the
-    smallest i, is tested; a member whose last coordinate is n has no
-    children and keeps none.  At most n + 1 lists of |pts| codes are held.
-    """
-    codes: dict[Point, list[int]] = {}
-
-    def keep(u: Point) -> bool:
-        if not any(u):
-            codes[u] = [0] * len(pts)
-            return len(pts) > 0
-        i = n - 1 - u[::-1].index(1)
-        parent = u[:i] + (0,) + u[i + 1 :]
-        parent_codes = codes.pop(parent) if i == 0 or u[i - 1] else codes[parent]
-        want = q ** sum(u)
-        if len(pts) < want:
-            return False
-        child = [c * q + p[i] for c, p in zip(parent_codes, pts)]
-        if len(set(child)) < want:
-            return False
-        if i < n - 1:
-            codes[u] = child
-        return True
-
-    return down_set(n, keep, top=1)
+    distinct points pts of {0..q-1}^n, from one _trace_sets walk: pts
+    shatter u iff their pattern codes on u take all q^|u| values; not
+    exported."""
+    return _trace_sets(n, q, pts, lambda u, codes: len(set(codes)) == q ** sum(u))
 
 
 def shattered_family(v: PointSet) -> SetFamily:
     """All coordinate sets shattered by v: a down-set holding the empty set.
 
     Each set is tested by refining its canonical parent's pattern codes
-    (see _shattered_vectors), in O(|v|) steps and with no restriction
+    (see _trace_sets), in O(|v|) steps and with no restriction
     tuples; shatters stays the independent one-set test.
     """
     return SetFamily(v.n, map(support, _shattered_vectors(v.n, v.q, v.points)))

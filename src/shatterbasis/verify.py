@@ -47,12 +47,12 @@ from .tuples import (
     PointSet,
     SetFamily,
     _shattered_vectors,
+    _trace_sets,
     _weighted_points,
     ballot_member,
     blow_up,
     classify,
     complete_uniform,
-    down_set,
     full_exponent_count,
     hamming_sphere,
     km_extremal,
@@ -590,7 +590,7 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
     # alon_compress keeps |W| = |V|, so a trace can grow only on a set where
     # V's restriction is not injective; those sets form a down-set.  By
     # default alon_compress checks no trace set above n = 4.
-    clashing = down_set(n, lambda u: len(v.restrictions(support(u))) < len(v), top=1)
+    clashing = _trace_sets(n, q, v.points, lambda u, codes: len(set(codes)) < len(codes))
     trace_sets = sorted((sorted(support(u)) for u in clashing), key=lambda cs: (len(cs), cs))
     fails = []
     for order in _BOTH_ORDERS:

@@ -479,6 +479,36 @@ class TestNoHangOrExhaustion:
         assert proc.stderr == ""
         assert len(proc.stdout) > 4777
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_bound_past_the_digit_cap_is_refused(self, fmt):
+        # 2^(10^7) has 3,010,300 digits; int -> str is quadratic in them, so
+        # the digits are counted from the bit length before converting
+        argv = ["bounds", "--name", "km", "--n", "10000000", "--s", "0", "--q", "3", "--format", fmt]
+        start = time.perf_counter()
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: printing a value of at least 3010300 decimal digits exceeds the cap of 1048576; "
+            "lower n or q instead\n"
+        )
+        assert elapsed < 2, elapsed
+
+    def test_bound_under_the_digit_cap_prints(self):
+        argv = ["bounds", "--name", "km", "--n", "1000000", "--s", "0", "--q", "3"]
+        proc = run_limited(self.VERIFY.format(argv=argv))
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.split(" = ")[1].strip()) == 301030
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_shatter_of_an_empty_wide_system(self, tmp_path, fmt):
+        # no points: nothing is tested, so no vector of 10^9 entries is built
+        path = tmp_path / "empty.txt"
+        path.write_text("1000000000 2\n")
+        proc = run_limited(self.VERIFY.format(argv=["shatter", "--in", str(path), "--format", fmt]))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("[]\n" if fmt == "json" else "1000000000 2\n")
+
     @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])
     def test_sampled_draw_refuses_past_the_cap(self, suite):
         # without --max-size one draw may hold up to all 3^20 grid points

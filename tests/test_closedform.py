@@ -308,6 +308,23 @@ class TestBlowup:
                 assert any(inside(js - {j}, family) for j in js)
         assert seen
 
+    def test_gb_bare_generators_are_the_tested_sets_in_no_member(self):
+        # the trace walk tests each set once, as a set inside a member plus
+        # one coordinate past its last; those in no member become x_J
+        for family, q in seeded_families(240, seed=7):
+            if q == 2:
+                continue  # lifted binary generators can be bare monomials too
+            n = family.n
+            box = itertools.product(range(2), repeat=n)
+            inside = {u for u in box if any(support(u) <= m for m in family.members)}
+            tested = {
+                u[:i] + (1,) + u[i + 1 :]
+                for u in inside
+                for i in range(max((k + 1 for k, e in enumerate(u) if e), default=0), n)
+            }
+            bare = [g.monomials()[0].exponents for g in gb_blowup(family, q) if len(g.monomials()) == 1]
+            assert sorted(bare) == sorted(tested - inside)
+
     def test_gb_certifies_seeded_families(self):
         for family, q in seeded_families(240, seed=5):
             if family.n > 4 or q > 3:

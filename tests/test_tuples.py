@@ -18,6 +18,7 @@ from shatterbasis.tuples import (
     PointSet,
     SetFamily,
     _shattered_vectors,
+    _trace_sets,
     ballot_member,
     blow_up,
     classify,
@@ -235,12 +236,13 @@ class TestDownSet:
             def keep(u):
                 return any(all(a <= b for a, b in zip(u, g)) for g in gens)
 
-            for top in (None, 1, 2):
-                bound = 3 if top is None else top
-                expected = {u for u in itertools.product(range(bound + 1), repeat=n) if keep(u)}
-                got = list(down_set(n, keep, top=top))
-                assert len(got) == len(set(got))
-                assert set(got) == expected
+            for order in TermOrder:
+                for top in (None, 1, 2):
+                    bound = 3 if top is None else top
+                    expected = {u for u in itertools.product(range(bound + 1), repeat=n) if keep(u)}
+                    got = list(down_set(n, keep, order._key, top=top))
+                    assert len(got) == len(set(got))
+                    assert set(got) == expected
 
     def test_keyed_walk_is_in_key_order(self):
         rng = random.Random(11)
@@ -294,39 +296,93 @@ class TestDownSet:
                         parents = [u[:i] + (e - 1,) + u[i + 1 :] for i, e in enumerate(u) if e]
                         assert all(p in members for p in parents), u
 
-    def test_unkeyed_walk_shows_keep_every_canonical_child(self):
+    def test_rejected_zero_vector_yields_nothing(self):
+        for order in TermOrder:
+            assert list(down_set(3, lambda u: False, order._key)) == []
+            assert list(down_set(3, lambda u: any(u), order._key, top=1)) == []
+
+
+def _brute_sets(n, keep):
+    """Every characteristic vector of {0,1}^n that keep accepts."""
+    return {u for u in itertools.product(range(2), repeat=n) if keep(u)}
+
+
+def _codes(pts, q, u):
+    """Each point's restriction to u read as a base-q number."""
+    return [sum(p[i] * q ** sum(u[i + 1 :]) for i in range(len(u)) if u[i]) for p in pts]
+
+
+class TestTraceSets:
+    def test_keep_sees_every_canonical_child_of_a_member_and_nothing_else(self):
         # gb_blowup records the whole border, so the depth-first walk is not
         # closed: keep also sees the children whose other parents it rejected
         rng = random.Random(16)
         unclosed = 0
         for _ in range(200):
-            n = rng.randint(1, 4)
-            leads = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))}
-            for top in (1, 2):
-                seen = []
+            n, q = rng.randint(1, 5), rng.randint(2, 3)
+            pts = random_system(rng, n, q, rng.randint(1, min(8, q**n))).points
+            leads = {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+            seen = []
 
-                def keep(u):
-                    seen.append(u)
-                    return u not in leads
+            def keep(u, codes):
+                assert codes == _codes(pts, q, u)
+                seen.append(u)
+                return u not in leads
 
-                members = list(down_set(n, keep, top=top))
-                children = {
-                    u[:i] + (u[i] + 1,) + u[i + 1 :]
-                    for u in members
-                    for i in range(max((k for k, e in enumerate(u) if e), default=0), n)
-                    if u[i] < top
-                }
-                children.add((0,) * n)
-                assert sorted(seen) == sorted(children)
-                assert set(members) == children - leads
-                unclosed += sum(
-                    1 for u in members for i, e in enumerate(u) if e and u[:i] + (e - 1,) + u[i + 1 :] in leads
-                )
+            members = list(_trace_sets(n, q, pts, keep))
+            children = {
+                u[:i] + (1,) + u[i + 1 :]
+                for u in members
+                for i in range(max((k + 1 for k, e in enumerate(u) if e), default=0), n)
+            }
+            children.add((0,) * n)
+            assert sorted(seen) == sorted(children)
+            assert len(seen) == len(set(seen))
+            assert set(members) == children - leads
+            unclosed += sum(
+                1 for u in members for i, e in enumerate(u) if e and u[:i] + (0,) + u[i + 1 :] in leads
+            )
         assert unclosed
 
-    def test_rejected_zero_vector_yields_nothing(self):
-        assert list(down_set(3, lambda u: False)) == []
-        assert list(down_set(3, lambda u: any(u), top=1)) == []
+    def test_yields_each_member_once(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            gens = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+
+            def member(u, codes=None):
+                return any(all(a <= b for a, b in zip(u, g)) for g in gens)
+
+            got = list(_trace_sets(n, 2, [(0,) * n], member))
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_sets(n, member)
+
+    def test_trace_predicates_match_brute_force(self):
+        # |trace(u)| only grows with u, so "at most t patterns" is a down-set
+        rng = random.Random(19)
+        for _ in range(300):
+            n, q = rng.randint(1, 6), rng.randint(2, 4)
+            v = random_system(rng, n, q, rng.randint(1, min(20, q**n)))
+            t = rng.randint(1, len(v))
+
+            def trace(u):
+                return v.restrictions(support(u))
+
+            got = list(_trace_sets(n, q, v.points, lambda u, codes: len(set(codes)) <= t))
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_sets(n, lambda u: len(trace(u)) <= t)
+            shattered = _brute_sets(n, lambda u: len(trace(u)) == q ** sum(u))
+            assert set(_shattered_vectors(n, q, v.points)) == shattered
+            clashing = _brute_sets(n, lambda u: len(trace(u)) < len(v))
+            # the predicate verify._check_compress passes
+            assert set(_trace_sets(n, q, v.points, lambda u, codes: len(set(codes)) < len(codes))) == clashing
+
+    def test_no_points_yield_nothing(self):
+        def keep(u, codes):
+            raise AssertionError("keep called without points")
+
+        assert list(_trace_sets(10**9, 2, (), keep)) == []
+        assert list(_shattered_vectors(10**9, 3, ())) == []
 
 
 class TestClassify:
