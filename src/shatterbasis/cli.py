@@ -25,12 +25,12 @@ from .polyring import TermOrder, leading_monomial, render_monomial, render_polyn
 from .tuples import (
     PointSet,
     SetFamily,
-    _shattered_vectors,
     blow_up,
     complete_uniform,
     hamming_sphere,
     km_extremal,
     lower_bound_slice,
+    shattered_family,
 )
 from .verify import _SUITES, SUITE_NAMES, _refuse, run_suite
 
@@ -184,7 +184,7 @@ def _cmd_gb(args: argparse.Namespace) -> int:
 
 def _cmd_shatter(args: argparse.Namespace) -> int:
     v = parse_tuples(_read_input(args.infile))
-    chars = PointSet(v.n, 2, _shattered_vectors(v.n, v.q, v.points))
+    chars = shattered_family(v).to_point_set()
     log.info("%d shattered sets", len(chars))
     if args.format == "json":
         _emit_json([list(p) for p in chars])

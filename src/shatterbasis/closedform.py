@@ -168,18 +168,19 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
     _check_blowup(family, q)
     n = family.n
     out = [field_polynomial(i, q, n) for i in range(1, n + 1)]
-    outside: list[Point] = []
+    outside: list[tuple[int, ...]] = []
 
-    def inside(u: Point, codes: list[int]) -> bool:
-        # u lies inside a member iff that member's pattern on u is all ones
-        if (1 << sum(u)) - 1 in codes:
+    def inside(cs: tuple[int, ...], codes: list[int]) -> bool:
+        # cs lies inside a member iff that member's pattern on cs is all ones
+        if (1 << len(cs)) - 1 in codes:
             return True
-        outside.append(u)
+        outside.append(cs)
         return False
 
     lifted: dict[Polynomial, Polynomial] = {}
-    for u in _trace_sets(n, 2, family.to_point_set().points, inside):
-        gb, _ = _binary_basis(subfamily_through(family, support(u)).to_point_set(), order)
+    for cs in _trace_sets(n, 2, family.to_point_set().points, inside):
+        gb, _ = _binary_basis(subfamily_through(family, cs).to_point_set(), order)
+        u = Monomial.squarefree(cs, n).exponents
         for g in gb:
             bar = lifted.get(g)
             if bar is None:
@@ -187,7 +188,7 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
             # x_J * bar: shift every exponent tuple by u
             shifted = {Monomial(tuple(map(operator.add, m.exponents, u))): c for m, c in bar.items()}
             out.append(Polynomial(n, shifted))
-    out += [Polynomial.from_monomial(Monomial(u)) for u in outside]
+    out += [Polynomial.from_monomial(Monomial.squarefree(cs, n)) for cs in outside]
     return out
 
 

@@ -86,7 +86,7 @@ class SetFamily:
     def __init__(self, n: int, members: Iterable[Iterable[int]] = ()) -> None:
         if n < 1:
             raise ValueError("ground set size n must be at least 1")
-        mem = frozenset(frozenset(int(i) for i in m) for m in members)
+        mem = frozenset(frozenset(map(int, m)) for m in members)
         for m in mem:
             if any(not 1 <= i <= n for i in m):
                 raise ValueError(f"member {sorted(m)} not inside 1..{n}")
@@ -117,7 +117,7 @@ class SetFamily:
 
     def to_point_set(self) -> PointSet:
         """Characteristic 0/1 vectors of the members, as a q=2 point set."""
-        return PointSet(self.n, 2, (tuple(int(i + 1 in m) for i in range(self.n)) for m in self.members))
+        return PointSet(self.n, 2, (tuple([int(i in m) for i in range(1, self.n + 1)]) for m in self.members))
 
     @classmethod
     def from_point_set(cls, v: PointSet) -> "SetFamily":
@@ -205,52 +205,50 @@ def down_set(
 
 
 def _trace_sets(
-    n: int, q: int, pts: Sequence[Point], keep: Callable[[Point, list[int]], bool]
-) -> Iterator[Point]:
-    """The characteristic vectors of a down-set of coordinate sets, decided
-    from how the points pts of {0..q-1}^n restrict to each set; not
-    exported.  keep(u, codes) gets each point's pattern code on u, its
-    restriction to u read as a base-q number.  A set u is tested once, as
-    its canonical parent plus one coordinate i past the parent's last, so
-    its codes are the parent's times q plus each point's entry at i.
-    Children are tested largest i first, depth first, and keep sees every
-    canonical child of a member, as gb_blowup records that whole border.
-    Each stack entry holds (parent, i, parent's codes), so at most n + 1
-    code lists are alive.  No pts yield nothing, before any vector is built:
-    every caller rejects the empty set when there are no codes.
+    n: int, q: int, pts: Sequence[Point], keep: Callable[[tuple[int, ...], list[int]], bool]
+) -> Iterator[tuple[int, ...]]:
+    """A down-set of coordinate sets, each a sorted tuple of 1-based
+    coordinates, decided from how the points pts of {0..q-1}^n restrict to
+    each set; not exported.  keep(cs, codes) gets each point's pattern code
+    on cs, its restriction read as a base-q number.  A set cs is tested
+    once, as its canonical parent plus one coordinate c past the parent's
+    largest: its codes are the parent's times q plus each point's entry at
+    c, so a test costs O(|pts| + |cs|) whatever n is.  Children are tested
+    largest c first, depth first, and keep sees every canonical child of a
+    member, as gb_blowup records that whole border.  A stack entry holds
+    (parent, c, parent's codes), so at most n + 1 code lists are alive.
+    No pts yield nothing: every caller rejects the empty set with no codes.
     """
     if not pts:
         return
-    zero, codes = (0,) * n, [0] * len(pts)
-    if not keep(zero, codes):
+    codes = [0] * len(pts)
+    if not keep((), codes):
         return
-    yield zero
-    stack = [(zero, i, codes) for i in range(n)]
+    yield ()
+    stack = [((), c, codes) for c in range(1, n + 1)]
     while stack:
-        parent, i, codes = stack.pop()
-        u = parent[:i] + (1,) + parent[i + 1 :]
-        codes = [c * q + p[i] for c, p in zip(codes, pts)]
-        if keep(u, codes):
-            yield u
-            stack += [(u, j, codes) for j in range(i + 1, n)]
+        parent, c, codes = stack.pop()
+        cs = parent + (c,)
+        codes = [code * q + p[c - 1] for code, p in zip(codes, pts)]
+        if keep(cs, codes):
+            yield cs
+            stack += [(cs, j, codes) for j in range(c + 1, n + 1)]
 
 
-def _shattered_vectors(n: int, q: int, pts: Sequence[Point]) -> Iterator[Point]:
-    """The characteristic vectors of the coordinate sets shattered by the
-    distinct points pts of {0..q-1}^n, from one _trace_sets walk: pts
-    shatter u iff their pattern codes on u take all q^|u| values; not
-    exported."""
-    return _trace_sets(n, q, pts, lambda u, codes: len(set(codes)) == q ** sum(u))
+def _shattered_sets(n: int, q: int, pts: Sequence[Point]) -> Iterator[tuple[int, ...]]:
+    """The coordinate sets the distinct points pts of {0..q-1}^n shatter:
+    those on which their pattern codes take all q^|cs| values; not exported."""
+    return _trace_sets(n, q, pts, lambda cs, codes: len(set(codes)) == q ** len(cs))
 
 
 def shattered_family(v: PointSet) -> SetFamily:
     """All coordinate sets shattered by v: a down-set holding the empty set.
 
     Each set is tested by refining its canonical parent's pattern codes
-    (see _trace_sets), in O(|v|) steps and with no restriction
+    (see _trace_sets), in O(|v| + |S|) steps and with no restriction
     tuples; shatters stays the independent one-set test.
     """
-    return SetFamily(v.n, map(support, _shattered_vectors(v.n, v.q, v.points)))
+    return SetFamily(v.n, _shattered_sets(v.n, v.q, v.points))
 
 
 def classify(v: PointSet) -> Uniformity:

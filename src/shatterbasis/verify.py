@@ -46,7 +46,7 @@ from .tuples import (
     Point,
     PointSet,
     SetFamily,
-    _shattered_vectors,
+    _shattered_sets,
     _trace_sets,
     _weighted_points,
     ballot_member,
@@ -258,7 +258,7 @@ def _check_size(item: tuple) -> tuple[int, list[dict]]:
 def _max_shattered(n: int, q: int, pts: Sequence[Point]) -> int:
     """The size of the largest set the distinct points pts of {0..q-1}^n
     shatter; -1 when there are none."""
-    return max(map(sum, _shattered_vectors(n, q, pts)), default=-1)
+    return max(map(len, _shattered_sets(n, q, pts)), default=-1)
 
 
 # ---------------------------------------------------------------- suites
@@ -461,12 +461,11 @@ def _certificate_draws(n: int, q: int, rng: random.Random, samples: int, max_siz
     patterns are listed.  The certificate on cs expands into
     up to q^|cs| terms, so a drawn cs past the cap is refused."""
     for (pts,) in _instances([()], [_ground(n, q)], samples, max_size, rng):
-        v = PointSet(n, q, pts)
-        shattered = sorted(_set_rank(n, sorted(support(u))) for u in _shattered_vectors(n, q, pts) if any(u))
+        shattered = sorted(_set_rank(n, cs) for cs in _shattered_sets(n, q, pts) if cs)
         cs = _unrank_set(_draw_outside(rng, 2**n - 1, shattered), n)
         what = f"the certificate on the {len(cs)} drawn coordinates {list(cs)} expands into up to"
         _refuse(q ** len(cs), f"{what} {q}^{len(cs)} terms, past", "use a smaller --n (n=)")
-        present = sorted({functools.reduce(lambda code, c: code * q + c, r, 0) for r in v.restrictions(cs)})
+        present = sorted({functools.reduce(lambda code, c: code * q + p[c - 1], cs, 0) for p in pts})
         witness = [0] * n
         for c, value in zip(cs, _grid_point(len(cs), q, _draw_outside(rng, q ** len(cs), present))):
             witness[c - 1] = value
@@ -588,10 +587,11 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
     # alon_compress keeps |W| = |V|, so a trace can grow only on a set where
-    # V's restriction is not injective; those sets form a down-set.  By
-    # default alon_compress checks no trace set above n = 4.
-    clashing = _trace_sets(n, q, v.points, lambda u, codes: len(set(codes)) < len(codes))
-    trace_sets = sorted((sorted(support(u)) for u in clashing), key=lambda cs: (len(cs), cs))
+    # V's restriction is not injective; those sets form a down-set, refused
+    # past the cap.  By default alon_compress checks no trace set above n = 4.
+    clashing = _trace_sets(n, q, v.points, lambda cs, codes: len(set(codes)) < len(codes))
+    trace_sets = sorted(itertools.islice(clashing, _EXHAUSTIVE_CAP + 1), key=lambda cs: (len(cs), cs))
+    _refuse(len(trace_sets), "the system's non-injective coordinate sets exceed", "lower n instead")
     fails = []
     for order in _BOTH_ORDERS:
         try:

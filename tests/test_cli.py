@@ -509,6 +509,33 @@ class TestNoHangOrExhaustion:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ("[]\n" if fmt == "json" else "1000000000 2\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_shatter_of_one_point_in_high_dimension(self, tmp_path, fmt):
+        # a tested set costs O(|V| + |S|), not O(n): the n sets of one
+        # coordinate are tested and only the empty set is printed
+        n = 100_000
+        path = tmp_path / "one.txt"
+        path.write_text(f"{n} 3\n" + " ".join(["1"] * n) + "\n")
+        argv = ["shatter", "--in", str(path), "--format", fmt]
+        proc = run_limited(self.VERIFY.format(argv=argv), timeout=5)
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "json":
+            assert json.loads(proc.stdout) == [[0] * n]
+        else:
+            assert proc.stdout == f"{n} 2\n" + " ".join(["0"] * n) + "\n"
+
+    def test_compress_refuses_past_the_cap_of_non_injective_sets(self):
+        # seed 1 draws two points that agree on more than 20 of 48
+        # coordinates, so more than 2^20 sets are not injective on them
+        argv = ["verify", "--suite", "alon-compress", "--n", "48", "--q", "2",
+                "--samples", "4", "--seed", "1", "--max-size", "2"]
+        proc = run_limited(self.VERIFY.format(argv=argv), timeout=15)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: the system's non-injective coordinate sets exceed the cap of 1048576; lower n instead\n"
+        )
+
     @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])
     def test_sampled_draw_refuses_past_the_cap(self, suite):
         # without --max-size one draw may hold up to all 3^20 grid points

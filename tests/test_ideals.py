@@ -13,6 +13,7 @@ from reference import box, deglex_key, lex_key, reference_basis, reference_order
 from shatterbasis.closedform import gb_blowup
 from shatterbasis.ideals import (
     _eliminate,
+    _EvaluationTable,
     _first_nonzero,
     certify_groebner,
     interpolate,
@@ -494,6 +495,19 @@ class TestIntegerEvaluation:
         v = PointSet(2, 3, [(0, 2), (1, 1), (2, 2)])
         g = Polynomial(2, {Monomial((0, 4000)): 1, Monomial((0, 3999)): -2})  # x2^3999 (x2 - 2)
         assert _first_nonzero([g], v) == evaluate_first_nonzero([g], v) == (0, (1, 1))
+
+    def test_table_vectors_are_direct_products(self):
+        # each vector is its canonical parent's times one column, or, when
+        # that parent is not kept, a zeroed parent's times a power column
+        rng = random.Random(14)
+        for _ in range(60):
+            n, q = rng.randint(1, 3), rng.randint(2, 4)
+            v = PointSet(n, q, {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, 12))})
+            table = _EvaluationTable(v)
+            requests = list(itertools.product(range(2 * q + 1), repeat=n))
+            rng.shuffle(requests)
+            for expo in requests[:60]:
+                assert table.vector(expo) == [math.prod(c**e for c, e in zip(p, expo)) for p in v.points]
 
     def test_no_fraction_evaluation(self, monkeypatch):
         family = SetFamily(3, [set(), {1}, {2, 3}, {1, 2, 3}])

@@ -17,7 +17,7 @@ from shatterbasis.tuples import (
     EmptyPointSetError,
     PointSet,
     SetFamily,
-    _shattered_vectors,
+    _shattered_sets,
     _trace_sets,
     ballot_member,
     blow_up,
@@ -209,7 +209,7 @@ class TestShatteredWalk:
             assert verify._max_shattered(v.n, v.q, v.points) == max(map(len, expected))
 
     def test_max_shattered_of_an_empty_system(self):
-        assert list(_shattered_vectors(3, 2, ())) == []
+        assert list(_shattered_sets(3, 2, ())) == []
         assert verify._max_shattered(3, 2, ()) == -1
 
     def test_walk_releases_parent_codes(self):
@@ -218,7 +218,7 @@ class TestShatteredWalk:
         v = PointSet(12, 2, itertools.product(range(2), repeat=12))
         tracemalloc.start()
         try:
-            count = sum(1 for _ in _shattered_vectors(v.n, v.q, v.points))
+            count = sum(1 for _ in _shattered_sets(v.n, v.q, v.points))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,13 +303,14 @@ class TestDownSet:
 
 
 def _brute_sets(n, keep):
-    """Every characteristic vector of {0,1}^n that keep accepts."""
-    return {u for u in itertools.product(range(2), repeat=n) if keep(u)}
+    """Every sorted coordinate tuple over 1..n that keep accepts."""
+    every = (cs for r in range(n + 1) for cs in itertools.combinations(range(1, n + 1), r))
+    return {cs for cs in every if keep(cs)}
 
 
-def _codes(pts, q, u):
-    """Each point's restriction to u read as a base-q number."""
-    return [sum(p[i] * q ** sum(u[i + 1 :]) for i in range(len(u)) if u[i]) for p in pts]
+def _codes(pts, q, cs):
+    """Each point's restriction to the coordinates cs read as a base-q number."""
+    return [sum(p[c - 1] * q ** (len(cs) - 1 - k) for k, c in enumerate(cs)) for p in pts]
 
 
 class TestTraceSets:
@@ -321,37 +322,34 @@ class TestTraceSets:
         for _ in range(200):
             n, q = rng.randint(1, 5), rng.randint(2, 3)
             pts = random_system(rng, n, q, rng.randint(1, min(8, q**n))).points
-            leads = {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+            leads = {
+                tuple(c for c in range(1, n + 1) if rng.randint(0, 1)) for _ in range(rng.randint(1, 4))
+            }
             seen = []
 
-            def keep(u, codes):
-                assert codes == _codes(pts, q, u)
-                seen.append(u)
-                return u not in leads
+            def keep(cs, codes):
+                assert cs == tuple(sorted(set(cs)))
+                assert codes == _codes(pts, q, cs)
+                seen.append(cs)
+                return cs not in leads
 
             members = list(_trace_sets(n, q, pts, keep))
-            children = {
-                u[:i] + (1,) + u[i + 1 :]
-                for u in members
-                for i in range(max((k + 1 for k, e in enumerate(u) if e), default=0), n)
-            }
-            children.add((0,) * n)
+            children = {cs + (c,) for cs in members for c in range(cs[-1] + 1 if cs else 1, n + 1)}
+            children.add(())
             assert sorted(seen) == sorted(children)
             assert len(seen) == len(set(seen))
             assert set(members) == children - leads
-            unclosed += sum(
-                1 for u in members for i, e in enumerate(u) if e and u[:i] + (0,) + u[i + 1 :] in leads
-            )
+            unclosed += sum(1 for cs in members for c in cs if tuple(d for d in cs if d != c) in leads)
         assert unclosed
 
     def test_yields_each_member_once(self):
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(1, 5)
-            gens = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            gens = [{c for c in range(1, n + 1) if rng.randint(0, 1)} for _ in range(rng.randint(1, 3))]
 
-            def member(u, codes=None):
-                return any(all(a <= b for a, b in zip(u, g)) for g in gens)
+            def member(cs, codes=None):
+                return any(set(cs) <= g for g in gens)
 
             got = list(_trace_sets(n, 2, [(0,) * n], member))
             assert len(got) == len(set(got))
@@ -365,24 +363,21 @@ class TestTraceSets:
             v = random_system(rng, n, q, rng.randint(1, min(20, q**n)))
             t = rng.randint(1, len(v))
 
-            def trace(u):
-                return v.restrictions(support(u))
-
-            got = list(_trace_sets(n, q, v.points, lambda u, codes: len(set(codes)) <= t))
+            got = list(_trace_sets(n, q, v.points, lambda cs, codes: len(set(codes)) <= t))
             assert len(got) == len(set(got))
-            assert set(got) == _brute_sets(n, lambda u: len(trace(u)) <= t)
-            shattered = _brute_sets(n, lambda u: len(trace(u)) == q ** sum(u))
-            assert set(_shattered_vectors(n, q, v.points)) == shattered
-            clashing = _brute_sets(n, lambda u: len(trace(u)) < len(v))
+            assert set(got) == _brute_sets(n, lambda cs: len(v.restrictions(cs)) <= t)
+            shattered = _brute_sets(n, lambda cs: len(v.restrictions(cs)) == q ** len(cs))
+            assert set(_shattered_sets(n, q, v.points)) == shattered
+            clashing = _brute_sets(n, lambda cs: len(v.restrictions(cs)) < len(v))
             # the predicate verify._check_compress passes
-            assert set(_trace_sets(n, q, v.points, lambda u, codes: len(set(codes)) < len(codes))) == clashing
+            assert set(_trace_sets(n, q, v.points, lambda cs, codes: len(set(codes)) < len(codes))) == clashing
 
     def test_no_points_yield_nothing(self):
-        def keep(u, codes):
+        def keep(cs, codes):
             raise AssertionError("keep called without points")
 
         assert list(_trace_sets(10**9, 2, (), keep)) == []
-        assert list(_shattered_vectors(10**9, 3, ())) == []
+        assert list(_shattered_sets(10**9, 3, ())) == []
 
 
 class TestClassify:

@@ -16,7 +16,7 @@ import pytest
 import shatterbasis.compress as compress
 import shatterbasis.verify as verify
 from shatterbasis.cli import dispatch
-from shatterbasis.closedform import BoundReport, sm_uniform_binary
+from shatterbasis.closedform import BoundReport, count_ballot, sm_uniform_binary
 from shatterbasis.ideals import StandardMonomialSet, interpolate, vanishing_basis
 from shatterbasis.polyring import Monomial, TermOrder
 from shatterbasis.tuples import PointSet, complete_uniform, hamming_sphere
@@ -736,3 +736,114 @@ class TestSampledDrawPins:
         assert report.verdict == "fail"
         canonical = json.dumps(report.canonical(), sort_keys=True)
         assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+def _grid(n, q):
+    return PointSet(n, q, itertools.product(range(q), repeat=n))
+
+
+class TestFailureRecords:
+    """Each case stubs one name inside verify that the shattered-set walk does
+    not use, so that the suite fails, and pins every failure record it makes:
+    the records of the checks that read _max_shattered, and of the counting
+    and bound checks beside them."""
+
+    @pytest.mark.parametrize(
+        "suite, params, stubs, records",
+        [
+            (
+                "ballot-count",
+                dict(n_max=2, q_max=2),
+                {"count_ballot": lambda n, q, i: count_ballot(n, q, i) + 1},
+                [
+                    {"actual": 1, "expected": 2, "params": {"i": 0, "n": 1, "q": 2}},
+                    {"actual": 1, "expected": 2, "params": {"i": 0, "n": 2, "q": 2}},
+                    {"actual": 1, "expected": 2, "params": {"i": 1, "n": 2, "q": 2}},
+                ],
+            ),
+            (
+                "ballot-count",
+                dict(n_max=2, q_max=2),
+                {"ballot_member": lambda u, q: True},
+                [
+                    {"actual": 1, "expected": "no ballot member with more than n/2 full exponents",
+                     "params": {"n": 1, "q": 2}},
+                    {"actual": 1, "expected": "no ballot member with more than n/2 full exponents",
+                     "params": {"n": 2, "q": 2}},
+                    {"actual": 2, "expected": 1, "params": {"i": 1, "n": 2, "q": 2}},
+                ],
+            ),
+            (
+                "uniform-ballot",
+                dict(n_max=1, q=2),
+                {"ballot_member": lambda u, q: False},
+                [
+                    {"actual": [[0]], "expected": "all standard monomials satisfy the ballot condition",
+                     "params": {"d": d, "n": 1, "order": order, "q": 2}}
+                    for d in (0, 1)
+                    for order in ("deglex", "lex")
+                ],
+            ),
+            (
+                "hamming-sharpness",
+                dict(n=2, d=1, s=1, q=3),
+                {"hamming_sphere": lambda n, d, q: _grid(n, q)},
+                [
+                    {"actual": 2, "expected": "no shattered set of size 2", "params": {"d": 1, "n": 2, "q": 3, "s": 1}},
+                    {"actual": 9, "expected": 4, "params": {"d": 1, "n": 2, "q": 3, "s": 1}},
+                ],
+            ),
+            (
+                "hamming-sharpness",
+                dict(n=3, d=1, s=1, q=3),
+                {"bound": _zero_bound},
+                [{"actual": 6, "expected": "strict gap below 0", "params": {"d": 1, "n": 3, "q": 3, "s": 1}}],
+            ),
+            (
+                "km-sharpness",
+                dict(n_max=3, s_max=0, q_max=3),
+                {
+                    "km_extremal": lambda n, s, q: _grid(n, q),
+                    # q points apart only in the first coordinate, of sums 0..q-1
+                    "lower_bound_slice": lambda n, s, q: (1, PointSet(n, q, [(c,) + (0,) * (n - 1) for c in range(q)])),
+                },
+                [
+                    {"actual": f"size {size} != bound {limit}; shatters a set of size {n}; slice is not d-uniform; "
+                     + ("slice size 3 below pigeonhole guarantee; " if (n, q) == (3, 3) else "")
+                     + "slice shatters a set of size 1",
+                     "expected": "extremal witness properties", "params": {"n": n, "q": q, "s": 0}}
+                    for n, q, size, limit in [
+                        (1, 2, 2, 1), (3, 3, 27, 8), (1, 3, 3, 2), (2, 2, 4, 1), (3, 2, 8, 1), (2, 3, 9, 4)
+                    ]
+                ],
+            ),
+            (
+                "shatter-cap",
+                dict(n=2, q=2),
+                {"shatter_cap": lambda d, q: 0},
+                [{"actual": 1, "expected": "shattered sets of size at most 0",
+                  "params": {"d": 1, "n": 2, "points": [[0, 1], [1, 0]], "q": 2}}],
+            ),
+            (
+                "q2-consistency",
+                dict(n_max=1),
+                {"bound": _zero_bound},
+                [
+                    {"actual": 0, "expected": 1, "params": {"d": 0, "n": 1, "name": "hamming", "s": 0}},
+                    {"actual": 0, "expected": 1, "params": {"d": 0, "n": 1, "name": "hamming", "s": 1}},
+                    {"actual": 0, "expected": 1, "params": {"d": 1, "n": 1, "name": "hamming", "s": 0}},
+                    {"actual": 0, "expected": 1, "params": {"n": 1, "name": "uniform", "s": 0}},
+                ],
+            ),
+        ],
+        ids=[
+            "ballot-count", "ballot-leftover", "uniform-ballot", "sphere-attains",
+            "hamming-gap", "km", "shatter-cap", "q2",
+        ],
+    )
+    def test_records_are_pinned(self, monkeypatch, suite, params, stubs, records):
+        for name, stub in stubs.items():
+            monkeypatch.setattr(verify, name, stub)
+        report = run_suite(suite, **params)
+        assert report.verdict == "fail"
+        assert json.loads(report.to_json())["failures"] == records
