@@ -32,10 +32,10 @@ only their live entries; ``_reduce_against`` combines them unchanged,
 since ``zip`` drops the weight positions.
 
 Evaluation on V is integer-only as well.  An evaluation table builds each
-monomial's vector on V once, from its canonical parent's (the parent
-``down_set`` makes it from) times one column, so an engine candidate costs
-one multiply; checking that polynomials vanish on V scales each one by the
-lcm of its denominators and takes integer dot products with those vectors.
+monomial's vector on V once, as a parent's vector times a power of one
+coordinate column; the engine's candidates take their vectors from it,
+and checking that polynomials vanish on V scales each one by the lcm of
+its denominators and takes integer dot products with those vectors.
 """
 
 from __future__ import annotations
@@ -111,16 +111,18 @@ class _EvaluationTable:
     """Integer evaluation vectors of monomials on the points of V, in V's
     order, keyed by exponent tuple.
 
-    A monomial's vector is built once and kept: its canonical parent's (one
-    below it in its last nonzero exponent e_i) times column i or, when that
-    parent is not kept, the parent with e_i set to 0 times column i to the
-    e_i, so a chain is at most n long.  Vectors are shared; never mutate one.
+    A monomial's vector is built once and kept: its parent (the monomial
+    with its last nonzero exponent e_i set to 0) times column i raised to
+    e_i.  Chains are at most n long and a large exponent costs one power
+    column, not one vector per unit of degree.  Vectors are shared, so
+    callers must not mutate them.
     """
 
-    __slots__ = ("_points", "_vectors")
+    __slots__ = ("_points", "_powers", "_vectors")
 
     def __init__(self, v: PointSet) -> None:
         self._points = v.points
+        self._powers: dict[tuple[int, int], list[int]] = {}
         self._vectors: dict[Point, list[int]] = {(0,) * v.n: [1] * len(v)}
 
     def vector(self, expo: Point) -> list[int]:
@@ -128,17 +130,18 @@ class _EvaluationTable:
         missing = []
         while expo not in vectors:
             i = max(k for k, e in enumerate(expo) if e)
-            parent = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
-            step = 1 if parent in vectors else expo[i]
-            missing.append((expo, i, step))
-            expo = parent if step == 1 else expo[:i] + (0,) + expo[i + 1 :]
+            missing.append((expo, i))
+            expo = expo[:i] + (0,) * (len(expo) - i)
         vec = vectors[expo]
-        for expo, i, step in reversed(missing):
-            if step == 1:  # the engine's case, without the cost of a power
-                vec = vectors[expo] = [a * p[i] for a, p in zip(vec, self._points)]
-            else:
-                vec = vectors[expo] = [a * p[i] ** step for a, p in zip(vec, self._points)]
+        for expo, i in reversed(missing):
+            vec = vectors[expo] = [a * b for a, b in zip(vec, self._power(i, expo[i]))]
         return vec
+
+    def _power(self, i: int, e: int) -> list[int]:
+        column = self._powers.get((i, e))
+        if column is None:
+            column = self._powers[(i, e)] = [p[i] ** e for p in self._points]
+        return column
 
 
 def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point] | None:
@@ -221,7 +224,7 @@ def _eliminate(
     generators: list[tuple[Point, list[int], int]] = []
 
     def independent(expo: Point) -> bool:
-        # expo's canonical parent divides it, so it is standard and already built
+        # expo's parent in the table divides it, so it is standard and already built
         row, w = _reduce_against(table.vector(expo), rows)
         live = size - len(rows)
         pivot = next((i for i in range(live) if row[i]), None)

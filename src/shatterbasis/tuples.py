@@ -219,10 +219,8 @@ def _trace_sets(
     (parent, c, parent's codes), so at most n + 1 code lists are alive.
     No pts yield nothing: every caller rejects the empty set with no codes.
     """
-    if not pts:
-        return
     codes = [0] * len(pts)
-    if not keep((), codes):
+    if not pts or not keep((), codes):
         return
     yield ()
     stack = [((), c, codes) for c in range(1, n + 1)]

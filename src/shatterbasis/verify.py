@@ -154,8 +154,9 @@ def _grid_point(n: int, q: int, k: int) -> Point:
 
 
 def _refuse(work: int, what: str, remedy: str = "") -> None:
-    """The one test of a run's stated work against the cap, made before its
-    first instance: past it, raise "<what> the cap of 1048576; <remedy>"."""
+    """The one test of a run's work against the cap, made before that work:
+    before the first instance or, for work that depends on the data, before
+    that instance's.  Past it, raise "<what> the cap of 1048576; <remedy>"."""
     if work > _EXHAUSTIVE_CAP:
         raise ValueError(f"{what} the cap of {_EXHAUSTIVE_CAP}" + (f"; {remedy}" if remedy else ""))
 
@@ -587,11 +588,14 @@ def _check_compress(item: tuple) -> tuple[int, list[dict]]:
     n, q, pts = item
     v = PointSet(n, q, pts)
     # alon_compress keeps |W| = |V|, so a trace can grow only on a set where
-    # V's restriction is not injective; those sets form a down-set, refused
-    # past the cap.  By default alon_compress checks no trace set above n = 4.
-    clashing = _trace_sets(n, q, v.points, lambda cs, codes: len(set(codes)) < len(codes))
-    trace_sets = sorted(itertools.islice(clashing, _EXHAUSTIVE_CAP + 1), key=lambda cs: (len(cs), cs))
-    _refuse(len(trace_sets), "the system's non-injective coordinate sets exceed", "lower n instead")
+    # V's restriction is not injective; those sets form a down-set, each one
+    # traced on V and W in both orders (4|V| codes), so the walk stops past
+    # the cap.  By default alon_compress checks no trace set above n = 4.
+    clashing = _trace_sets(n, q, pts, lambda cs, codes: len(set(codes)) < len(codes))
+    trace_sets = list(itertools.islice(clashing, _EXHAUSTIVE_CAP // (4 * len(pts)) + 1))
+    what = f"tracing at least {len(trace_sets)} non-injective coordinate sets, 4 * {len(pts)} codes each, exceeds"
+    _refuse(4 * len(pts) * len(trace_sets), what, "lower n or bound the draw with --max-size (max_size=)")
+    trace_sets.sort(key=lambda cs: (len(cs), cs))
     fails = []
     for order in _BOTH_ORDERS:
         try:

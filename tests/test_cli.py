@@ -524,16 +524,20 @@ class TestNoHangOrExhaustion:
         else:
             assert proc.stdout == f"{n} 2\n" + " ".join(["0"] * n) + "\n"
 
-    def test_compress_refuses_past_the_cap_of_non_injective_sets(self):
-        # seed 1 draws two points that agree on more than 20 of 48
-        # coordinates, so more than 2^20 sets are not injective on them
-        argv = ["verify", "--suite", "alon-compress", "--n", "48", "--q", "2",
+    @pytest.mark.parametrize("n", ["48", "42"])
+    def test_compress_refuses_past_the_cap_of_non_injective_sets(self, n):
+        # seed 1 draws two points that agree on 21 of 48 coordinates, or on
+        # 20 of 42, so 2^21 or 2^20 sets are not injective on them; each is
+        # traced on V and W in both orders, 8 codes, so the walk stops at
+        # 2^17 + 1 sets, before any compression
+        argv = ["verify", "--suite", "alon-compress", "--n", n, "--q", "2",
                 "--samples", "4", "--seed", "1", "--max-size", "2"]
         proc = run_limited(self.VERIFY.format(argv=argv), timeout=15)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            "error: the system's non-injective coordinate sets exceed the cap of 1048576; lower n instead\n"
+            "error: tracing at least 131073 non-injective coordinate sets, 4 * 2 codes each,"
+            " exceeds the cap of 1048576; lower n or bound the draw with --max-size (max_size=)\n"
         )
 
     @pytest.mark.parametrize("suite", ["sm-cardinality", "alon-compress", "search-km"])

@@ -497,8 +497,8 @@ class TestIntegerEvaluation:
         assert _first_nonzero([g], v) == evaluate_first_nonzero([g], v) == (0, (1, 1))
 
     def test_table_vectors_are_direct_products(self):
-        # each vector is its canonical parent's times one column, or, when
-        # that parent is not kept, a zeroed parent's times a power column
+        # each vector is built once from a parent's and kept, whatever the
+        # order in which monomials are requested
         rng = random.Random(14)
         for _ in range(60):
             n, q = rng.randint(1, 3), rng.randint(2, 4)

@@ -201,6 +201,12 @@ class TestRegistry:
                 dict(n=8, q=3, samples=1, cert_samples=1, seed=1),
                 "bound the draw with --max-size (max_size=)",
             ),
+            # a draw's non-injective sets are traced on it and its compression, 4|V| codes each
+            (
+                "alon-compress",
+                dict(n=10, q=2, samples=3, seed=1),
+                "lower n or bound the draw with --max-size (max_size=)",
+            ),
         ],
     )
     def test_cap_refusal_names_a_remedy_the_suite_offers(self, name, params, remedy):
