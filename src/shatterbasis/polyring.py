@@ -317,11 +317,11 @@ def field_polynomial(i: int, q: int, n: int) -> Polynomial:
     """
     if q < 2:
         raise ValueError("alphabet size q must be at least 2")
-    x = Polynomial.variable(i, n)
-    f = Polynomial.constant(1, n)
+    x = Monomial.variable(i, n)
+    coeffs = [1]  # of x^0, x^1, ... in the product so far
     for j in range(q):
-        f = f * (x - j)
-    return f
+        coeffs = [low - j * c for low, c in zip([0] + coeffs, coeffs + [0])]
+    return Polynomial(n, {x.power(k): c for k, c in enumerate(coeffs)})
 
 
 _INDICATOR_CACHE_CAP = 64

@@ -205,38 +205,58 @@ def down_set(
 
 
 def _trace_sets(
-    n: int, q: int, pts: Sequence[Point], keep: Callable[[tuple[int, ...], list[int]], bool]
+    n: int,
+    q: int,
+    pts: Sequence[Point],
+    keep: Callable[[tuple[int, ...], list[int]], bool],
+    top: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """A down-set of coordinate sets, each a sorted tuple of 1-based
     coordinates, decided from how the points pts of {0..q-1}^n restrict to
-    each set; not exported.  keep(cs, codes) gets each point's pattern code
-    on cs, its restriction read as a base-q number.  A set cs is tested
-    once, as its canonical parent plus one coordinate c past the parent's
-    largest: its codes are the parent's times q plus each point's entry at
-    c, so a test costs O(|pts| + |cs|) whatever n is.  Children are tested
-    largest c first, depth first, and keep sees every canonical child of a
-    member, as gb_blowup records that whole border.  A stack entry holds
-    (parent, c, parent's codes), so at most n + 1 code lists are alive.
-    No pts yield nothing: every caller rejects the empty set with no codes.
+    each set, cut at sets of top coordinates when top is given; not
+    exported.  keep(cs, codes) gets each point's pattern code on cs, its
+    restriction read as a base-q number.  A set cs is tested once, as its
+    canonical parent plus one coordinate c past the parent's largest: its
+    codes are the parent's times q plus each point's entry at c, so a test
+    costs O(|pts| + |cs|) whatever n is.  Children are tested largest c
+    first, depth first.  A member of top coordinates pushes no children;
+    with no top, keep sees every canonical child of a member, as gb_blowup
+    records that whole border.  A stack entry holds (parent, c, parent's
+    codes), so at most n + 1 code lists are alive.  No pts yield nothing:
+    every caller rejects the empty set with no codes.
     """
     codes = [0] * len(pts)
     if not pts or not keep((), codes):
         return
     yield ()
-    stack = [((), c, codes) for c in range(1, n + 1)]
+    stack = [((), c, codes) for c in range(1, n + 1)] if top != 0 else []
     while stack:
         parent, c, codes = stack.pop()
         cs = parent + (c,)
         codes = [code * q + p[c - 1] for code, p in zip(codes, pts)]
         if keep(cs, codes):
             yield cs
-            stack += [(cs, j, codes) for j in range(c + 1, n + 1)]
+            if len(cs) != top:
+                stack += [(cs, j, codes) for j in range(c + 1, n + 1)]
+
+
+def _shatter_bound(q: int, size: int) -> int:
+    """The largest k with q^k <= size (0 when size < q): no set of more
+    coordinates than this is shattered by size points; not exported."""
+    k = 0
+    while q ** (k + 1) <= size:
+        k += 1
+    return k
 
 
 def _shattered_sets(n: int, q: int, pts: Sequence[Point]) -> Iterator[tuple[int, ...]]:
     """The coordinate sets the distinct points pts of {0..q-1}^n shatter:
-    those on which their pattern codes take all q^|cs| values; not exported."""
-    return _trace_sets(n, q, pts, lambda cs, codes: len(set(codes)) == q ** len(cs))
+    those on which their pattern codes take all q^|cs| values; not exported.
+    The walk stops at _shatter_bound(q, |pts|) coordinates, past which no
+    set can take that many values."""
+    return _trace_sets(
+        n, q, pts, lambda cs, codes: len(set(codes)) == q ** len(cs), _shatter_bound(q, len(pts))
+    )
 
 
 def shattered_family(v: PointSet) -> SetFamily:

@@ -46,6 +46,7 @@ from .tuples import (
     Point,
     PointSet,
     SetFamily,
+    _shatter_bound,
     _shattered_sets,
     _trace_sets,
     _weighted_points,
@@ -258,8 +259,15 @@ def _check_size(item: tuple) -> tuple[int, list[dict]]:
 
 def _max_shattered(n: int, q: int, pts: Sequence[Point]) -> int:
     """The size of the largest set the distinct points pts of {0..q-1}^n
-    shatter; -1 when there are none."""
-    return max(map(len, _shattered_sets(n, q, pts)), default=-1)
+    shatter; -1 when there are none.  The walk ends at the first set of
+    _shatter_bound(q, |pts|) coordinates, since none is larger."""
+    top = _shatter_bound(q, len(pts))
+    worst = -1
+    for cs in _shattered_sets(n, q, pts):
+        worst = max(worst, len(cs))
+        if worst == top:
+            break
+    return worst
 
 
 # ---------------------------------------------------------------- suites

@@ -524,6 +524,25 @@ class TestNoHangOrExhaustion:
         else:
             assert proc.stdout == f"{n} 2\n" + " ".join(["0"] * n) + "\n"
 
+    def test_shattered_family_of_four_points_in_high_dimension(self):
+        # 4 points shatter no set of 3 coordinates, so no child of a
+        # shattered pair is tested; testing each one took over 20 s.  Only
+        # the library call is timed: cli shatter spends most of its time
+        # here printing the 47,953 sets as 1000-long vectors.
+        code = (
+            "import random\n"
+            "from shatterbasis import PointSet, shattered_family\n"
+            "rng = random.Random(1)\n"
+            "v = PointSet(1000, 2, [[rng.randrange(2) for _ in range(1000)] for _ in range(4)])\n"
+            "print(len(v), len(shattered_family(v)))\n"
+        )
+        start = time.perf_counter()
+        proc = run_limited(code, timeout=15)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "4 47953\n"
+        assert elapsed < 5, elapsed
+
     @pytest.mark.parametrize("n", ["48", "42"])
     def test_compress_refuses_past_the_cap_of_non_injective_sets(self, n):
         # seed 1 draws two points that agree on 21 of 48 coordinates, or on

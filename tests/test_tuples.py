@@ -17,6 +17,7 @@ from shatterbasis.tuples import (
     EmptyPointSetError,
     PointSet,
     SetFamily,
+    _shatter_bound,
     _shattered_sets,
     _trace_sets,
     ballot_member,
@@ -208,6 +209,32 @@ class TestShatteredWalk:
             assert set(shattered_family(v)) == expected
             assert verify._max_shattered(v.n, v.q, v.points) == max(map(len, expected))
 
+    def test_max_shattered_matches_brute_force(self, monkeypatch):
+        # the walk ends at the first set of _shatter_bound(q, |V|)
+        # coordinates when the points shatter one, and runs out otherwise
+        walked = []
+
+        def counted(n, q, pts):
+            for cs in _shattered_sets(n, q, pts):
+                walked.append(cs)
+                yield cs
+
+        monkeypatch.setattr(verify, "_shattered_sets", counted)
+        rng = random.Random(31)
+        stopped = ran_out = 0
+        for _ in range(400):
+            n, q = rng.randint(1, 7), rng.randint(2, 4)
+            v = random_system(rng, n, q, rng.randint(1, min(30, q**n)))
+            walked.clear()
+            worst = verify._max_shattered(v.n, v.q, v.points)
+            assert worst == max(map(len, reference_shattered_sets(v.points, q)))
+            if worst == _shatter_bound(q, len(v)):
+                assert len(walked[-1]) == worst
+                stopped += len(walked) < sum(1 for _ in _shattered_sets(v.n, v.q, v.points))
+            else:
+                ran_out += 1
+        assert stopped and ran_out
+
     def test_max_shattered_of_an_empty_system(self):
         assert list(_shattered_sets(3, 2, ())) == []
         assert verify._max_shattered(3, 2, ()) == -1
@@ -378,6 +405,60 @@ class TestTraceSets:
 
         assert list(_trace_sets(10**9, 2, (), keep)) == []
         assert list(_shattered_sets(10**9, 3, ())) == []
+
+    def test_bound_cuts_the_walk_at_top_coordinates(self):
+        # "at most t patterns" is a down-set; with t near |V| it holds large
+        # sets, so the cut at top removes members as well as tests
+        rng = random.Random(23)
+        cut = 0
+        for _ in range(300):
+            n, q = rng.randint(1, 7), rng.randint(2, 4)
+            v = random_system(rng, n, q, rng.randint(1, min(20, q**n)))
+            t = rng.randint(1, len(v))
+            top = rng.randint(0, n)
+            seen = []
+
+            def keep(cs, codes):
+                seen.append(cs)
+                return len(set(codes)) <= t
+
+            full = list(_trace_sets(n, q, v.points, lambda cs, codes: len(set(codes)) <= t))
+            members = list(_trace_sets(n, q, v.points, keep, top))
+            assert max(map(len, seen)) <= top
+            assert members == [cs for cs in full if len(cs) <= top]
+            children = {cs + (c,) for cs in members for c in range(cs[-1] + 1 if cs else 1, n + 1)}
+            assert sorted(seen) == sorted({cs for cs in children if len(cs) <= top} | {()})
+            cut += len(members) < len(full)
+        assert cut
+
+    def test_shatter_bound_is_the_integer_log(self):
+        for q in range(2, 6):
+            for size in range(200):
+                k = _shatter_bound(q, size)
+                assert q ** (k + 1) > size
+                assert k == 0 or q**k <= size
+        assert _shatter_bound(3, 3**40) == 40
+        assert _shatter_bound(3, 3**40 - 1) == 39
+
+    def test_bounded_shattered_walk_equals_the_unbounded_one(self):
+        rng = random.Random(29)
+        systems = [
+            random_system(rng, n, q, rng.randint(1, min(40, q**n)))
+            for _ in range(20)
+            for n in range(1, 8)
+            for q in range(2, 5)
+        ]
+        # |V| = q^k exactly: 9 points at q = 3 shatter four pairs, and the
+        # full grid {0,1}^6 shatters every set, so the walk reaches the bound
+        pairs = PointSet(4, 3, [(a, b, a, b) for a in range(3) for b in range(3)])
+        grid = PointSet(6, 2, itertools.product(range(2), repeat=6))
+        systems += [pairs, grid, random_system(rng, 5, 3, 9), random_system(rng, 7, 2, 16)]
+        for v in systems:
+            got = list(_shattered_sets(v.n, v.q, v.points))
+            assert got == list(_trace_sets(v.n, v.q, v.points, lambda cs, codes: len(set(codes)) == v.q ** len(cs)))
+        top = {cs for cs in _shattered_sets(4, 3, pairs.points) if len(cs) == 2}
+        assert top == {(1, 2), (1, 4), (2, 3), (3, 4)}
+        assert sum(1 for _ in _shattered_sets(6, 2, grid.points)) == 2**6
 
 
 class TestClassify:
