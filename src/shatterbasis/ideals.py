@@ -52,6 +52,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     TermOrder,
+    _root_product,
     leading_monomial,
 )
 from .tuples import EmptyPointSetError, Point, PointSet, down_set
@@ -388,8 +389,7 @@ def non_shatter_certificate(v: PointSet, coords: Iterable[int], witness: Sequenc
 
     out = Polynomial.constant(1, n)
     for c in cs:
-        x = Polynomial.variable(c, n)
-        for i in range(q):
-            if i != witness[c - 1]:
-                out = out * (x - i)
+        x = Monomial.variable(c, n)
+        roots = (i for i in range(q) if i != witness[c - 1])
+        out = out * Polynomial(n, {x.power(k): a for k, a in enumerate(_root_product(roots))})
     return out

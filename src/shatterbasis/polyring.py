@@ -115,11 +115,7 @@ class TermOrder(str, Enum):
         if a.n != b.n:
             raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
         ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
+        return (ka > kb) - (ka < kb)
 
 
 class Polynomial:
@@ -294,14 +290,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: TermOrder) ->
 
     work = f
     while True:
-        hit = None
-        for m in sorted(work.monomials(), key=order.key, reverse=True):
-            for lm, lc, g in leads:
-                if lm.divides(m):
-                    hit = (m, lm, lc, g)
-                    break
-            if hit:
-                break
+        monomials = sorted(work.monomials(), key=order.key, reverse=True)
+        hit = next(((m, lm, lc, g) for m in monomials for lm, lc, g in leads if lm.divides(m)), None)
         if hit is None:
             return work
         m, lm, lc, g = hit
@@ -318,10 +308,15 @@ def field_polynomial(i: int, q: int, n: int) -> Polynomial:
     if q < 2:
         raise ValueError("alphabet size q must be at least 2")
     x = Monomial.variable(i, n)
-    coeffs = [1]  # of x^0, x^1, ... in the product so far
-    for j in range(q):
-        coeffs = [low - j * c for low, c in zip([0] + coeffs, coeffs + [0])]
-    return Polynomial(n, {x.power(k): c for k, c in enumerate(coeffs)})
+    return Polynomial(n, {x.power(k): c for k, c in enumerate(_root_product(range(q)))})
+
+
+def _root_product(roots: Iterable[int]) -> list[int]:
+    """The integer coefficients of prod (x - r) over the roots, by increasing degree."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [low - r * c for low, c in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
 
 
 _INDICATOR_CACHE_CAP = 64
@@ -337,14 +332,9 @@ def indicator_polynomial(q: int) -> Polynomial:
     """
     if q < 2:
         raise ValueError("alphabet size q must be at least 2")
-    x = Polynomial.variable(1, 1)
-    prod = Polynomial.constant(1, 1)
-    fact = 1
-    for j in range(1, q):
-        prod = prod * (x - j)
-        fact *= j
-    sign = -1 if (q - 1) % 2 else 1
-    return Polynomial.constant(1, 1) - prod * Fraction(sign, fact)
+    # p = 1 - P / P(0) for P = prod_{0<j<q} (x - j), so the constant terms cancel
+    coeffs = _root_product(range(1, q))
+    return Polynomial(1, {Monomial((k,)): Fraction(-c, coeffs[0]) for k, c in enumerate(coeffs) if k})
 
 
 @functools.lru_cache(maxsize=_INDICATOR_CACHE_CAP)
@@ -417,99 +407,42 @@ def render_polynomial(f: Polynomial, order: TermOrder = TermOrder.DEGLEX) -> str
     return out
 
 
-_TOKEN = re.compile(r"\s*(?:(x\d+)|(\d+)|(\^)|(\*)|(/)|(\+)|(-))")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial near {text[pos:pos + 10]!r}")
-            break
-        tokens.append(match.group(match.lastindex))
-        pos = match.end()
-    return tokens
+# Polynomial text, as render_polynomial writes it, is a regular language:
+#   polynomial = [sign] term {sign term}
+#   term       = factor {"*" factor}
+#   factor     = number ["/" number] | "x" number ["^" number]
+# and whitespace may come before any token.  So one pattern matches a whole
+# term, and a second finds the factors in it, skipping the "*" between them.
+_NUMBER = r"(\d+)(?:\s*/\s*(\d+))?"  # a coefficient with an optional denominator
+_POWER = r"x(\d+)(?:\s*\^\s*(\d+))?"  # a variable with an optional exponent
+_FACTOR = re.compile(rf"{_NUMBER}|{_POWER}")
+# group 1 is the sign, group 2 the factors; no two \s* touch, so a failed
+# match backtracks in linear time
+_TERM = re.compile(rf"\s*(?:([+-])\s*)?((?:{_FACTOR.pattern})(?:\s*\*\s*(?:{_FACTOR.pattern}))*)")
 
 
 def parse_polynomial(text: str, n: int) -> Polynomial:
-    """Parse the grammar produced by render_polynomial in dimension n."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse the text render_polynomial writes, in dimension n; malformed
+    text raises ValueError."""
+    pos, end = 0, len(text.rstrip())
+    if not end:
         raise ValueError("empty polynomial text")
-    pos = 0
     terms: list[tuple[Monomial, Fraction]] = []
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_number() -> Fraction:
-        tok = take()
-        if not tok.isdigit():
-            raise ValueError(f"expected a number, got {tok!r}")
-        value = Fraction(int(tok))
-        if peek() == "/":
-            take()
-            den = take()
-            if not den.isdigit() or int(den) == 0:
-                raise ValueError(f"bad denominator {den!r}")
-            value /= int(den)
-        return value
-
-    def parse_term(sign: int) -> tuple[Monomial, Fraction]:
-        coeff = Fraction(sign)
-        expo = [0] * n
-        saw_factor = False
-        while True:
-            tok = peek()
-            if tok is None:
-                break
-            if tok.isdigit():
-                coeff *= parse_number()
-            elif tok.startswith("x"):
-                take()
-                idx = int(tok[1:])
-                if not 1 <= idx <= n:
-                    raise ValueError(f"variable {tok} out of range for dimension {n}")
-                e = 1
-                if peek() == "^":
-                    take()
-                    etok = take()
-                    if not etok.isdigit():
-                        raise ValueError(f"bad exponent {etok!r}")
-                    e = int(etok)
-                expo[idx - 1] += e
+    while pos < end:
+        term = _TERM.match(text, pos)
+        if term is None or (pos and not term[1]):  # every later term has a sign
+            at = end - len(text[pos:end].lstrip())
+            raise ValueError(f"cannot parse polynomial near {text[at:at + 10]!r} (character {at})")
+        coeff, expo = Fraction(-1 if term[1] == "-" else 1), [0] * n
+        for num, den, var, exp in _FACTOR.findall(term[2]):
+            if num:
+                if den and not int(den):
+                    raise ValueError(f"bad denominator {den!r}")
+                coeff *= Fraction(int(num), int(den or 1))
+            elif 1 <= int(var) <= n:
+                expo[int(var) - 1] += int(exp or 1)
             else:
-                raise ValueError(f"unexpected token {tok!r}")
-            saw_factor = True
-            if peek() == "*":
-                take()
-                continue
-            break
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
-        return Monomial(tuple(expo)), coeff
-
-    sign = 1
-    if peek() in {"+", "-"}:
-        sign = -1 if take() == "-" else 1
-    terms.append(parse_term(sign))
-    while peek() is not None:
-        tok = take()
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        else:
-            raise ValueError(f"expected '+' or '-', got {tok!r}")
-        terms.append(parse_term(sign))
-
+                raise ValueError(f"variable x{var} out of range for dimension {n}")
+        terms.append((Monomial(tuple(expo)), coeff))
+        pos = term.end()
     return Polynomial(n, terms)

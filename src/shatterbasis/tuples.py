@@ -19,6 +19,18 @@ from .polyring import Monomial
 Point = tuple[int, ...]
 
 
+def _integral(values: Iterable, make: Callable[[Iterable], tuple | frozenset]) -> tuple | frozenset:
+    """``make(values)`` with every value an int, refusing one that int() would change."""
+    given = make(values)
+    try:
+        exact = make(map(int, given))
+    except OverflowError:  # int() of an infinity
+        exact = None
+    if exact != given:
+        raise ValueError(f"coordinates {tuple(given)} are not all integers")
+    return exact
+
+
 class EmptyPointSetError(ValueError):
     """Raised where an operation needs at least one point."""
 
@@ -37,7 +49,7 @@ class PointSet:
             raise ValueError("dimension n must be at least 1")
         if q < 2:
             raise ValueError("alphabet size q must be at least 2")
-        members = frozenset(tuple(int(c) for c in p) for p in points)
+        members = frozenset(_integral(p, tuple) for p in points)
         cleaned = sorted(members)
         for p in cleaned:
             if len(p) != n:
@@ -86,7 +98,7 @@ class SetFamily:
     def __init__(self, n: int, members: Iterable[Iterable[int]] = ()) -> None:
         if n < 1:
             raise ValueError("ground set size n must be at least 1")
-        mem = frozenset(frozenset(map(int, m)) for m in members)
+        mem = frozenset(_integral(m, frozenset) for m in members)
         for m in mem:
             if any(not 1 <= i <= n for i in m):
                 raise ValueError(f"member {sorted(m)} not inside 1..{n}")

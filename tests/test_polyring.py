@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,22 @@ class TestFieldAndIndicator:
         with pytest.raises(ValueError):
             indicator_polynomial(1)
 
+    def test_root_product_matches_the_linear_factors(self):
+        rng = random.Random(8)
+        x = Polynomial.variable(1, 1)
+        for _ in range(200):
+            roots = [rng.randint(-4, 6) for _ in range(rng.randint(0, 7))]
+            prod = Polynomial.constant(1, 1)
+            for r in roots:
+                prod = prod * (x - r)
+            assert polyring._root_product(roots) == [prod.coefficient(mono(k)) for k in range(len(roots) + 1)]
+
+    def test_indicator_values_for_larger_alphabets(self):
+        for q in range(7, 12):
+            p = indicator_polynomial(q)
+            assert leading_monomial(p, DEGLEX) == mono(q - 1)
+            assert [p.evaluate((j,)) for j in range(q)] == [0] + [1] * (q - 1)
+
 
 class TestBinaryLift:
     def test_constant(self):
@@ -396,3 +413,161 @@ class TestRenderParse:
     def test_round_trip(self, f):
         for order in (DEGLEX, LEX):
             assert parse_polynomial(render_polynomial(f, order), 3) == f
+
+    def test_malformed_text_raises_value_error(self):
+        # a power or fraction cut off at its operator, and a dangling "*"
+        for text in ("x1^", "2/", "3 /", "x1*", "x1 * ", "x1*-x2", "1/2/3"):
+            with pytest.raises(ValueError, match="cannot parse polynomial near"):
+                parse_polynomial(text, 2)
+
+    def test_kept_error_texts(self):
+        for text, message in (
+            ("", "empty polynomial text"),
+            (" \t ", "empty polynomial text"),
+            ("x1 + 2*x3^2", "variable x3 out of range for dimension 2"),
+            ("x00", "variable x00 out of range for dimension 2"),
+            ("1/0*x1", "bad denominator '0'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                parse_polynomial(text, 2)
+
+    def test_error_names_the_position(self):
+        with pytest.raises(ValueError, match=r"near '\$' \(character 8\)"):
+            parse_polynomial("x1 + x2 $", 2)
+        with pytest.raises(ValueError, match=r"near 'x2' \(character 3\)"):
+            parse_polynomial("x1 x2", 2)
+        with pytest.raises(ValueError, match=r"near '\^' \(character 2\)"):
+            parse_polynomial("x1^", 2)
+
+    def test_whitespace_before_any_token(self):
+        f = parse_polynomial("  -\t3 / 4 * x1 ^ 2*x2  +x2 - 1/2 ", 2)
+        assert f == poly(2, {(2, 1): Fraction(-3, 4), (0, 1): 1, (0, 0): Fraction(-1, 2)})
+
+    def test_long_whitespace_fails_fast(self):
+        # a failed term match backtracks over whitespace in linear time
+        with pytest.raises(ValueError):
+            parse_polynomial(" " * 200_000 + "$", 2)
+        with pytest.raises(ValueError):
+            parse_polynomial("x1" + " " * 200_000 + "*", 2)
+
+    def test_matches_the_reference_parser(self):
+        """Random token strings: the same polynomial, or ValueError from both,
+        except where the reference fails (IndexError on text cut off at "^"
+        or "/") or accepts a dangling "*"; the parser refuses both."""
+        tokens = ["+", "-", "*", "/", "^", "x0", "x1", "x2", "x3", "x4", "x01", "0", "1", "2",
+                  "3", "12", "007", " ", "  ", "\t", "\u00a0", "$", "y", "x", "\u0663"]
+        rng = random.Random(22)
+        seen = {"equal": 0, "both refuse": 0, "cut off": 0, "dangling *": 0}
+        for _ in range(20_000):
+            text = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 9)))
+            try:
+                expected = reference_parse_polynomial(text, 3)
+            except IndexError:
+                expected = IndexError
+            except ValueError:
+                expected = ValueError
+            try:
+                got = parse_polynomial(text, 3)
+            except ValueError:
+                got = ValueError
+            if expected is IndexError:
+                assert got is ValueError, text
+                seen["cut off"] += 1
+            elif got is ValueError and expected is not ValueError:
+                assert text.rstrip().endswith("*"), text
+                seen["dangling *"] += 1
+            else:
+                assert got == expected, text
+                seen["both refuse" if got is ValueError else "equal"] += 1
+        assert min(seen.values()) >= 50, seen
+
+
+def reference_parse_polynomial(text, n):
+    """The token-and-closure parser the library used before its term pattern,
+    kept as a reference.  It raises IndexError on text cut off at "^" or "/"
+    and accepts a dangling "*"."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = re.compile(r"\s*(?:(x\d+)|(\d+)|(\^)|(\*)|(/)|(\+)|(-))").match(text, pos)
+        if not match:
+            if text[pos:].strip():
+                raise ValueError(f"cannot parse polynomial near {text[pos:pos + 10]!r}")
+            break
+        tokens.append(match.group(match.lastindex))
+        pos = match.end()
+    if not tokens:
+        raise ValueError("empty polynomial text")
+    pos = 0
+    terms = []
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def parse_number():
+        tok = take()
+        if not tok.isdigit():
+            raise ValueError(f"expected a number, got {tok!r}")
+        value = Fraction(int(tok))
+        if peek() == "/":
+            take()
+            den = take()
+            if not den.isdigit() or int(den) == 0:
+                raise ValueError(f"bad denominator {den!r}")
+            value /= int(den)
+        return value
+
+    def parse_term(sign):
+        coeff = Fraction(sign)
+        expo = [0] * n
+        saw_factor = False
+        while True:
+            tok = peek()
+            if tok is None:
+                break
+            if tok.isdigit():
+                coeff *= parse_number()
+            elif tok.startswith("x"):
+                take()
+                idx = int(tok[1:])
+                if not 1 <= idx <= n:
+                    raise ValueError(f"variable {tok} out of range for dimension {n}")
+                e = 1
+                if peek() == "^":
+                    take()
+                    etok = take()
+                    if not etok.isdigit():
+                        raise ValueError(f"bad exponent {etok!r}")
+                    e = int(etok)
+                expo[idx - 1] += e
+            else:
+                raise ValueError(f"unexpected token {tok!r}")
+            saw_factor = True
+            if peek() == "*":
+                take()
+                continue
+            break
+        if not saw_factor:
+            raise ValueError("empty term in polynomial text")
+        return Monomial(tuple(expo)), coeff
+
+    sign = 1
+    if peek() in {"+", "-"}:
+        sign = -1 if take() == "-" else 1
+    terms.append(parse_term(sign))
+    while peek() is not None:
+        tok = take()
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
+        else:
+            raise ValueError(f"expected '+' or '-', got {tok!r}")
+        terms.append(parse_term(sign))
+    return Polynomial(n, terms)

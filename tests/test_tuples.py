@@ -4,6 +4,7 @@ import itertools
 import operator
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -82,6 +83,14 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(2, 1, [(0, 0)])
 
+    def test_non_integral_coordinates_are_refused(self):
+        for p in [(1.5, 0), (0, Fraction(1, 2)), [1, "0"], (0, 2.000001), (float("inf"), 0), (0, float("nan"))]:
+            with pytest.raises(ValueError):
+                PointSet(2, 3, [(0, 0), p])
+        v = PointSet(2, 3, [(1.0, 0), [Fraction(2), True]])
+        assert v.points == ((1, 0), (2, 1))
+        assert all(type(c) is int for p in v for c in p)
+
     def test_restrictions(self):
         v = PointSet(3, 2, [(0, 0, 1), (1, 0, 1), (0, 1, 0)])
         assert v.restrictions([1, 3]) == {(0, 1), (1, 1), (0, 0)}
@@ -98,6 +107,14 @@ class TestSetFamily:
             SetFamily(2, [{3}])
         with pytest.raises(ValueError):
             SetFamily(2, [{0}])
+
+    def test_non_integral_elements_are_refused(self):
+        for m in [{1.7}, {1, 2.5}, (Fraction(3, 2),), ["1"]]:
+            with pytest.raises(ValueError, match="are not all integers"):
+                SetFamily(3, [{1}, m])
+        f = SetFamily(3, [{1.0, 3}, (Fraction(2),)])
+        assert f.members == {frozenset({1, 3}), frozenset({2})}
+        assert all(type(i) is int for m in f for i in m)
 
     def test_characteristic_round_trip(self):
         f = SetFamily(3, [set(), {1, 3}, {2}])
