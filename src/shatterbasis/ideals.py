@@ -16,6 +16,16 @@ Callers that read only the normal set skip the basis:
 ``standard_monomials`` keeps no combination weights in deglex, and in lex
 needs no linear algebra at all (the Cerlienco-Mureddu recursion).
 
+The columns of the elimination are V's points in colex order (x_n most
+significant, ``_columns``).  A row pivots on its first nonzero live column
+and a step is skipped where the candidate's pivot entry is zero; in colex
+order every fibre that the lex recursion splits on (the points sharing
+their last coordinates) is one contiguous block of columns, so pivots fall
+fibre by fibre.  Against V's own (lex) order more steps are skipped and
+the rows stay sparser, with smaller entries, chiefly in deglex.  The
+normal set, the basis and the interpolant do not depend on the column
+order; only the time does.
+
 All linear algebra is exact.  A row is one primitive list of |V| + 1
 integers: a vector on V, less the pivot columns of the rows before it
 (where it is zero), followed by the integer weights that combine the
@@ -108,9 +118,16 @@ class StandardMonomialSet:
         return frozenset(m.exponents for m in self.monomials)
 
 
+def _columns(v: PointSet) -> list[Point]:
+    """V's points in colex order (x_n most significant): the engine's
+    columns.  Every fibre the lex recursion splits on, the points sharing
+    their last coordinates, is then one contiguous block of columns."""
+    return sorted(v.points, key=lambda p: p[::-1])
+
+
 class _EvaluationTable:
-    """Integer evaluation vectors of monomials on the points of V, in V's
-    order, keyed by exponent tuple.
+    """Integer evaluation vectors of monomials on a sequence of points, in
+    its order, keyed by exponent tuple.
 
     A monomial's vector is built once and kept: its parent (the monomial
     with its last nonzero exponent e_i set to 0) times column i raised to
@@ -121,10 +138,10 @@ class _EvaluationTable:
 
     __slots__ = ("_points", "_powers", "_vectors")
 
-    def __init__(self, v: PointSet) -> None:
-        self._points = v.points
+    def __init__(self, n: int, points: Sequence[Point]) -> None:
+        self._points = points
         self._powers: dict[tuple[int, int], list[int]] = {}
-        self._vectors: dict[Point, list[int]] = {(0,) * v.n: [1] * len(v)}
+        self._vectors: dict[Point, list[int]] = {(0,) * n: [1] * len(points)}
 
     def vector(self, expo: Point) -> list[int]:
         vectors = self._vectors
@@ -155,7 +172,7 @@ def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point
     the scaled coefficients with the monomials' evaluation vectors, taken
     from one table built for this call.
     """
-    table = _EvaluationTable(v)
+    table = _EvaluationTable(v.n, v.points)
     for k, g in enumerate(polys):
         terms = list(g.items())
         if not terms:
@@ -200,12 +217,15 @@ def _eliminate(
     """The elimination kernel for a nonempty V: the standard monomials,
     their rows and the data of the reduced Groebner basis generators.
 
+    The columns are ``_columns(v)``, V's points in colex order, so the
+    first-nonzero pivots follow the lex fibres and more steps are skipped.
+
     Row k is (pivot, row), and row is one primitive list of |V| + 1
-    integers: a vector on the |V| - k live columns (those of V, in order,
-    that are not pivots of rows 0..k-1), then the weights of the standard
-    monomials 0..k whose evaluation vectors combine into the full vector,
-    which is zero off the live columns.  The pivot indexes the live
-    columns.  A candidate reduces to a residual (live entries, then k
+    integers: a vector on the |V| - k live columns (those columns, in
+    order, that are not pivots of rows 0..k-1), then the weights of the
+    standard monomials 0..k whose evaluation vectors combine into the full
+    vector, which is zero off the live columns.  The pivot indexes the
+    live columns.  A candidate reduces to a residual (live entries, then k
     weights) and its own weight w; a zero live part makes a generator,
     recorded as (lead exponents, weights, w), whose tail is weights / w;
     otherwise the row is the residual then w.
@@ -219,7 +239,7 @@ def _eliminate(
     row (a standard monomial, which the walk grows) or a generator.
     """
     n, size = v.n, len(v)
-    table = _EvaluationTable(v)
+    table = _EvaluationTable(n, _columns(v))
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int]]] = []
     generators: list[tuple[Point, list[int], int]] = []
@@ -331,7 +351,7 @@ def interpolate(
         raise ValueError(f"values must cover V exactly (missing {missing}, extra {extra})")
 
     standard, rows, _ = _eliminate(v, order)
-    target = [Fraction(values[p]) for p in v.points]
+    target = [Fraction(values[p]) for p in _columns(v)]
     scale = math.lcm(*(y.denominator for y in target))
     # The |V| rows leave no live column, so the residual is all weights:
     # w * scale * y + sum_k tail[k] * eval(m_k) = 0.

@@ -783,11 +783,13 @@ class TestExitCodes:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        src = Path(shatterbasis.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "shatterbasis", "bounds", "--name", "sauer",
              "--n", "6", "--s", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "sauer(n=6, s=2) = 22"

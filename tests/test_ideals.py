@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference import box, deglex_key, lex_key, reference_basis, reference_order_shattered, reference_sm
 from shatterbasis.closedform import gb_blowup
 from shatterbasis.ideals import (
+    _columns,
     _eliminate,
     _EvaluationTable,
     _first_nonzero,
@@ -217,8 +218,9 @@ def dense_reduce_against(row, rows):
 
 
 def live_columns(rows, size):
-    """For each compacted row of _eliminate, the columns of V its live
-    entries stand for: all |V| less the pivots of the rows before it."""
+    """For each compacted row of _eliminate, the columns its live entries
+    stand for, as indices into ``_columns(v)``: all |V| less the pivots of
+    the rows before it."""
     columns = list(range(size))
     for pivot, _ in rows:
         yield list(columns)
@@ -248,7 +250,7 @@ class TestEliminationRows:
             for order in (DEGLEX, LEX):
                 standard, rows, _ = _eliminate(v, order)
                 size = len(v)
-                vectors = [[m.evaluate(p) for p in v.points] for m in standard]
+                vectors = [[m.evaluate(p) for p in _columns(v)] for m in standard]
                 assert len(rows) == size
                 for k, ((pivot, row), columns) in enumerate(zip(rows, live_columns(rows, size))):
                     live, weights = row[: size - k], row[size - k :]
@@ -272,7 +274,7 @@ class TestEliminationRows:
                 for k, (m, (pivot, row), columns) in enumerate(
                     zip(standard, rows, live_columns(rows, size))
                 ):
-                    vec = [m.evaluate(p) for p in v.points]
+                    vec = [m.evaluate(p) for p in _columns(v)]
                     expected = dense_reduce_against(vec + [0] * k + [1], dense)
                     dense.append((next(i for i in range(size) if expected[i]), expected))
                     assert columns[pivot] == dense[-1][0]
@@ -291,6 +293,61 @@ class TestEliminationRows:
                 assert all(f.evaluate(p) == values[p] for p in v.points)
                 _, sm = vanishing_basis(v, order)
                 assert set(f.monomials()) <= sm.as_set()
+
+
+def engine_results(v, values):
+    """Every engine output that must not depend on the column order."""
+    return (
+        vanishing_basis(v, DEGLEX),
+        vanishing_basis(v, LEX),
+        standard_monomials(v, DEGLEX),
+        interpolate(v, values, DEGLEX),
+        interpolate(v, values, LEX),
+    )
+
+
+def shuffled_columns(seed):
+    """A stand-in for ``_columns``: a seeded random permutation of V's
+    points, the same on every call, as ``interpolate`` needs its target
+    vector over the columns ``_eliminate`` used."""
+
+    def columns(v):
+        points = list(v.points)
+        random.Random(seed).shuffle(points)
+        return points
+
+    return columns
+
+
+class TestColumnOrder:
+    """The engine's columns are V's points in colex order, a choice made for
+    speed alone: the normal set, the reduced basis and the interpolant do not
+    depend on it."""
+
+    def test_columns_are_colex(self):
+        v = PointSet(3, 3, [(2, 0, 1), (0, 1, 0), (1, 0, 1), (0, 0, 2), (2, 1, 0), (0, 0, 0)])
+        assert _columns(v) == [(0, 0, 0), (0, 1, 0), (2, 1, 0), (1, 0, 1), (2, 0, 1), (0, 0, 2)]
+        for w in engine_inputs(47, 3):
+            assert sorted(_columns(w), key=lambda p: tuple(reversed(p))) == _columns(w)
+            assert sorted(_columns(w)) == sorted(w.points)
+
+    def check_independent(self, v, seed):
+        rng = random.Random(seed)
+        values = {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in v.points}
+        expected = engine_results(v, values)
+        for k in range(3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("shatterbasis.ideals._columns", shuffled_columns(seed * 10 + k))
+                assert engine_results(v, values) == expected
+
+    def test_engine_inputs(self):
+        for seed, v in enumerate(engine_inputs(48, 3)):
+            self.check_independent(v, seed)
+
+    @given(point_sets(3, 3, max_size=15), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_small_sets(self, v, seed):
+        self.check_independent(v, seed)
 
 
 class TestStandardMonomials:
@@ -503,7 +560,7 @@ class TestIntegerEvaluation:
         for _ in range(60):
             n, q = rng.randint(1, 3), rng.randint(2, 4)
             v = PointSet(n, q, {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, 12))})
-            table = _EvaluationTable(v)
+            table = _EvaluationTable(n, v.points)
             requests = list(itertools.product(range(2 * q + 1), repeat=n))
             rng.shuffle(requests)
             for expo in requests[:60]:
