@@ -118,7 +118,7 @@ def _binary_basis(v: PointSet, order: TermOrder) -> tuple[GroebnerBasis, Standar
     return vanishing_basis(v, order)
 
 
-def _check_blowup(family: SetFamily, q: int) -> None:
+def _require_family(family: SetFamily, q: int) -> None:
     if not len(family):
         raise ValueError("the family must be nonempty")
     if q < 2:
@@ -135,7 +135,7 @@ def sm_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
     assumed in closed form, once per interior set the walk of the
     down-set meets.
     """
-    _check_blowup(family, q)
+    _require_family(family, q)
     # interior set J -> supports of the binary standard monomials through J;
     # every point through J is 1 at each j in J, so these avoid J
     normal: dict[frozenset[int], set[frozenset[int]]] = {}
@@ -165,7 +165,7 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
     Those include every minimal J with an empty subfamily, and x_J for any
     larger such J is a multiple of one of them.
     """
-    _check_blowup(family, q)
+    _require_family(family, q)
     n = family.n
     out = [field_polynomial(i, q, n) for i in range(1, n + 1)]
     outside: list[tuple[int, ...]] = []

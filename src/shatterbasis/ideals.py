@@ -16,15 +16,15 @@ Callers that read only the normal set skip the basis:
 ``standard_monomials`` keeps no combination weights in deglex, and in lex
 needs no linear algebra at all (the Cerlienco-Mureddu recursion).
 
-The columns of the elimination are V's points in colex order (x_n most
-significant, ``_columns``).  A row pivots on its first nonzero live column
-and a step is skipped where the candidate's pivot entry is zero; in colex
-order every fibre that the lex recursion splits on (the points sharing
-their last coordinates) is one contiguous block of columns, so pivots fall
-fibre by fibre.  Against V's own (lex) order more steps are skipped and
-the rows stay sparser, with smaller entries, chiefly in deglex.  The
-normal set, the basis and the interpolant do not depend on the column
-order; only the time does.
+Every evaluation on V runs over one column order, V's points in colex
+order (x_n most significant, ``_columns``).  A row pivots on its first
+nonzero live column and a step is skipped where the candidate's pivot
+entry is zero; in colex order every fibre that the lex recursion splits
+on (the points sharing their last coordinates) is one contiguous block of
+columns, so pivots fall fibre by fibre.  Against V's own (lex) order more
+steps are skipped and the rows stay sparser, with smaller entries,
+chiefly in deglex.  No output depends on the column order; only the time
+does.
 
 All linear algebra is exact.  A row is one primitive list of |V| + 1
 integers: a vector on V, less the pivot columns of the rows before it
@@ -126,8 +126,8 @@ def _columns(v: PointSet) -> list[Point]:
 
 
 class _EvaluationTable:
-    """Integer evaluation vectors of monomials on a sequence of points, in
-    its order, keyed by exponent tuple.
+    """Integer evaluation vectors of monomials on V's columns ``points``
+    (``_columns(v)``, the one evaluation order), keyed by exponent tuple.
 
     A monomial's vector is built once and kept: its parent (the monomial
     with its last nonzero exponent e_i set to 0) times column i raised to
@@ -136,12 +136,12 @@ class _EvaluationTable:
     callers must not mutate them.
     """
 
-    __slots__ = ("_points", "_powers", "_vectors")
+    __slots__ = ("points", "_powers", "_vectors")
 
-    def __init__(self, n: int, points: Sequence[Point]) -> None:
-        self._points = points
+    def __init__(self, v: PointSet) -> None:
+        self.points = _columns(v)
         self._powers: dict[tuple[int, int], list[int]] = {}
-        self._vectors: dict[Point, list[int]] = {(0,) * n: [1] * len(points)}
+        self._vectors: dict[Point, list[int]] = {(0,) * v.n: [1] * len(self.points)}
 
     def vector(self, expo: Point) -> list[int]:
         vectors = self._vectors
@@ -158,21 +158,21 @@ class _EvaluationTable:
     def _power(self, i: int, e: int) -> list[int]:
         column = self._powers.get((i, e))
         if column is None:
-            column = self._powers[(i, e)] = [p[i] ** e for p in self._points]
+            column = self._powers[(i, e)] = [p[i] ** e for p in self.points]
         return column
 
 
 def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point] | None:
     """The index of the first polynomial that does not vanish on V, with
-    its first point of V (in V's order) where it is nonzero; None when
-    every polynomial vanishes on V.
+    its lex-first point of V where it is nonzero (the least such column,
+    whatever the column order); None when every polynomial vanishes on V.
 
     No Fraction is evaluated: each polynomial is scaled by the lcm of its
     denominators, and its value at a point is the integer dot product of
     the scaled coefficients with the monomials' evaluation vectors, taken
     from one table built for this call.
     """
-    table = _EvaluationTable(v.n, v.points)
+    table = _EvaluationTable(v)
     for k, g in enumerate(polys):
         terms = list(g.items())
         if not terms:
@@ -180,9 +180,9 @@ def _first_nonzero(polys: Sequence[Polynomial], v: PointSet) -> tuple[int, Point
         scale = math.lcm(*(c.denominator for _, c in terms))
         weights = [c.numerator * (scale // c.denominator) for _, c in terms]
         vectors = [table.vector(m.exponents) for m, _ in terms]
-        for p, values in zip(v.points, zip(*vectors)):
-            if sum(map(operator.mul, weights, values)):
-                return k, p
+        nonzero = [p for p, values in zip(table.points, zip(*vectors)) if sum(map(operator.mul, weights, values))]
+        if nonzero:
+            return k, min(nonzero)
     return None
 
 
@@ -239,7 +239,7 @@ def _eliminate(
     row (a standard monomial, which the walk grows) or a generator.
     """
     n, size = v.n, len(v)
-    table = _EvaluationTable(n, _columns(v))
+    table = _EvaluationTable(v)
     standard: list[Monomial] = []
     rows: list[tuple[int, list[int]]] = []
     generators: list[tuple[Point, list[int], int]] = []

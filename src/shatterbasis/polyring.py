@@ -123,6 +123,7 @@ class Polynomial:
 
     Instances are immutable by convention; all arithmetic returns new
     objects.  Dimension n is fixed at construction and operands must agree.
+    The constructor alone merges terms (repeats summed, zeros dropped).
     """
 
     __slots__ = ("n", "_terms")
@@ -185,10 +186,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = self._coerce(other)
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + c
-        return Polynomial(self.n, merged)
+        return Polynomial(self.n, [*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
@@ -203,19 +201,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial.zero(self.n)
-            return Polynomial(self.n, {m: c * other for m, c in self._terms.items()})
+            return Polynomial(self.n, [(m, c * other) for m, c in self._terms.items()])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        acc: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = ma * mb
-                acc[m] = acc.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.n, acc)
+        pairs = other._terms.items()
+        return Polynomial(self.n, [(ma * mb, ca * cb) for ma, ca in self._terms.items() for mb, cb in pairs])
 
     def __rmul__(self, other: Scalar) -> "Polynomial":
         return self * other
@@ -368,6 +360,7 @@ def binary_lift(g: Polynomial, q: int) -> Polynomial:
                     for d, b in enumerate(power)
                     if b
                 }
+        # merged on exponent tuples, to build one Monomial per distinct term
         for u, a in terms.items():
             out[u] = out.get(u, 0) + a
     return Polynomial(n, {Monomial(u): a for u, a in out.items() if a})

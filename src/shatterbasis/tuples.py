@@ -271,6 +271,19 @@ def _shattered_sets(n: int, q: int, pts: Sequence[Point]) -> Iterator[tuple[int,
     )
 
 
+def _max_shattered(n: int, q: int, pts: Sequence[Point]) -> int:
+    """The size of the largest set the distinct points pts of {0..q-1}^n
+    shatter, -1 when there are none.  The walk ends at the first set of
+    _shatter_bound(q, |pts|) coordinates, since none is larger."""
+    top = _shatter_bound(q, len(pts))
+    worst = -1
+    for cs in _shattered_sets(n, q, pts):
+        worst = max(worst, len(cs))
+        if worst == top:
+            break
+    return worst
+
+
 def shattered_family(v: PointSet) -> SetFamily:
     """All coordinate sets shattered by v: a down-set holding the empty set.
 

@@ -46,7 +46,7 @@ from .tuples import (
     Point,
     PointSet,
     SetFamily,
-    _shatter_bound,
+    _max_shattered,
     _shattered_sets,
     _trace_sets,
     _weighted_points,
@@ -255,19 +255,6 @@ def _check_size(item: tuple) -> tuple[int, list[dict]]:
         for s in sizes
         if len(pts) > limits[s]
     ]
-
-
-def _max_shattered(n: int, q: int, pts: Sequence[Point]) -> int:
-    """The size of the largest set the distinct points pts of {0..q-1}^n
-    shatter; -1 when there are none.  The walk ends at the first set of
-    _shatter_bound(q, |pts|) coordinates, since none is larger."""
-    top = _shatter_bound(q, len(pts))
-    worst = -1
-    for cs in _shattered_sets(n, q, pts):
-        worst = max(worst, len(cs))
-        if worst == top:
-            break
-    return worst
 
 
 # ---------------------------------------------------------------- suites

@@ -319,10 +319,29 @@ def shuffled_columns(seed):
     return columns
 
 
+def spoiled(basis, v, rng):
+    """The basis with one generator plus a term that is nonzero at a point
+    of V, so that it no longer vanishes there."""
+    k = rng.randrange(len(basis))
+    p = rng.choice(v.points)
+    term = Polynomial.from_monomial(
+        Monomial(tuple(rng.randint(0, v.q) if x else 0 for x in p)), rng.choice([-2, -1, 1, Fraction(1, 3)])
+    )
+    return basis[:k] + [basis[k] + term] + basis[k + 1 :]
+
+
+def certification_results(v, bases):
+    """What certification reports on each basis: the first failure, and the
+    verdict in either order."""
+    return [
+        (_first_nonzero(basis, v), [certify_groebner(v, basis, order) for order in (DEGLEX, LEX)]) for basis in bases
+    ]
+
+
 class TestColumnOrder:
     """The engine's columns are V's points in colex order, a choice made for
-    speed alone: the normal set, the reduced basis and the interpolant do not
-    depend on it."""
+    speed alone: the normal set, the reduced basis, the interpolant and what
+    certification reports do not depend on it."""
 
     def test_columns_are_colex(self):
         v = PointSet(3, 3, [(2, 0, 1), (0, 1, 0), (1, 0, 1), (0, 0, 2), (2, 1, 0), (0, 0, 0)])
@@ -331,18 +350,28 @@ class TestColumnOrder:
             assert sorted(_columns(w), key=lambda p: tuple(reversed(p))) == _columns(w)
             assert sorted(_columns(w)) == sorted(w.points)
 
-    def check_independent(self, v, seed):
+    def check_independent(self, v, seed, bases=None):
+        # the bases vanish on V (by default V's reduced bases), and one
+        # spoiled copy of one of them does not
         rng = random.Random(seed)
         values = {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in v.points}
-        expected = engine_results(v, values)
+        if bases is None:
+            bases = [list(vanishing_basis(v, order)[0]) for order in (DEGLEX, LEX)]
+        bases = bases + [spoiled(rng.choice(bases), v, rng)]
+        expected = engine_results(v, values), certification_results(v, bases)
+        assert expected[1][-1][0] is not None
         for k in range(3):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr("shatterbasis.ideals._columns", shuffled_columns(seed * 10 + k))
-                assert engine_results(v, values) == expected
+                assert (engine_results(v, values), certification_results(v, bases)) == expected
 
     def test_engine_inputs(self):
         for seed, v in enumerate(engine_inputs(48, 3)):
             self.check_independent(v, seed)
+
+    def test_seeded_bases(self):
+        for seed, (v, basis) in enumerate(seeded_bases(49)):
+            self.check_independent(v, seed, [basis])
 
     @given(point_sets(3, 3, max_size=15), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
@@ -560,11 +589,11 @@ class TestIntegerEvaluation:
         for _ in range(60):
             n, q = rng.randint(1, 3), rng.randint(2, 4)
             v = PointSet(n, q, {tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, 12))})
-            table = _EvaluationTable(n, v.points)
+            table = _EvaluationTable(v)
             requests = list(itertools.product(range(2 * q + 1), repeat=n))
             rng.shuffle(requests)
             for expo in requests[:60]:
-                assert table.vector(expo) == [math.prod(c**e for c, e in zip(p, expo)) for p in v.points]
+                assert table.vector(expo) == [math.prod(c**e for c, e in zip(p, expo)) for p in _columns(v)]
 
     def test_no_fraction_evaluation(self, monkeypatch):
         family = SetFamily(3, [set(), {1}, {2, 3}, {1, 2, 3}])

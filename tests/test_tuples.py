@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import reference_ballot, reference_shattered_sets, reference_shatters
-from shatterbasis import verify
 from shatterbasis.polyring import Monomial, TermOrder
 from shatterbasis.tuples import (
     EmptyPointSetError,
     PointSet,
     SetFamily,
+    _max_shattered,
     _shatter_bound,
     _shattered_sets,
     _trace_sets,
@@ -224,7 +224,7 @@ class TestShatteredWalk:
             v = random_system(rng, n, q, rng.randint(10, 30))
             expected = reference_shattered_sets(v.points, q)
             assert set(shattered_family(v)) == expected
-            assert verify._max_shattered(v.n, v.q, v.points) == max(map(len, expected))
+            assert _max_shattered(v.n, v.q, v.points) == max(map(len, expected))
 
     def test_max_shattered_matches_brute_force(self, monkeypatch):
         # the walk ends at the first set of _shatter_bound(q, |V|)
@@ -236,14 +236,14 @@ class TestShatteredWalk:
                 walked.append(cs)
                 yield cs
 
-        monkeypatch.setattr(verify, "_shattered_sets", counted)
+        monkeypatch.setattr("shatterbasis.tuples._shattered_sets", counted)
         rng = random.Random(31)
         stopped = ran_out = 0
         for _ in range(400):
             n, q = rng.randint(1, 7), rng.randint(2, 4)
             v = random_system(rng, n, q, rng.randint(1, min(30, q**n)))
             walked.clear()
-            worst = verify._max_shattered(v.n, v.q, v.points)
+            worst = _max_shattered(v.n, v.q, v.points)
             assert worst == max(map(len, reference_shattered_sets(v.points, q)))
             if worst == _shatter_bound(q, len(v)):
                 assert len(walked[-1]) == worst
@@ -254,7 +254,7 @@ class TestShatteredWalk:
 
     def test_max_shattered_of_an_empty_system(self):
         assert list(_shattered_sets(3, 2, ())) == []
-        assert verify._max_shattered(3, 2, ()) == -1
+        assert _max_shattered(3, 2, ()) == -1
 
     def test_walk_releases_parent_codes(self):
         # every set of {0,1}^12 is shattered; keeping each member's 4096
