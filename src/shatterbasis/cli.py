@@ -98,7 +98,8 @@ def _family_from_file(path: str) -> SetFamily:
 def _require(args: argparse.Namespace, command: str, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
-            raise ValueError(f"{command} requires --{name.replace('_', '-')}")
+            flag = "in" if name == "infile" else name.replace("_", "-")
+            raise ValueError(f"{command} requires --{flag}")
 
 
 def _order(args: argparse.Namespace) -> TermOrder:

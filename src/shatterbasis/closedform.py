@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -21,13 +21,12 @@ from .polyring import (
     Monomial,
     Polynomial,
     TermOrder,
+    _integral,
     binary_lift,
     field_polynomial,
     normal_form,
 )
-from .tuples import (
-    Point, PointSet, SetFamily, _trace_sets, ballot_member, down_set, level_partition, subfamily_through, support
-)
+from .tuples import Point, PointSet, SetFamily, _trace_sets, ballot_member, down_set, subfamily_through
 
 __all__ = [
     "BoundReport",
@@ -100,11 +99,13 @@ def sm_hamming_sphere(
         raise ValueError("alphabet size q must be at least 2")
 
     def qualifies(u: Point) -> bool:
+        if max(u, default=0) >= q:
+            return False
         rest = [e for e in u if e in (0, q - 1)]
         c = n - len(rest)
         return c <= d and rest.count(q - 1) <= min(d - c, n - d) and ballot_member(rest, q)
 
-    monos = down_set(n, qualifies, top=q - 1, key=order._key)
+    monos = down_set(n, qualifies, order._key)
     return StandardMonomialSet(order, tuple(map(Monomial, monos)))
 
 
@@ -125,32 +126,31 @@ def _require_family(family: SetFamily, q: int) -> None:
         raise ValueError("alphabet size q must be at least 2")
 
 
+def _inside(cs: tuple[int, ...], codes: list[int]) -> bool:
+    # cs lies inside a member iff that member's pattern on cs is all ones
+    return (1 << len(cs)) - 1 in codes
+
+
 def sm_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) -> StandardMonomialSet:
     """Standard monomials of the blow-up of a set family.
 
-    An exponent vector belongs iff the subfamily through its interior
-    positions is nonempty and the squarefree monomial on its full
-    positions is standard for that subfamily's binary vanishing ideal.
-    The binary subproblems are solved by the evaluation algorithm, not
-    assumed in closed form, once per interior set the walk of the
-    down-set meets.
+    An exponent vector belongs iff its interior positions J lie inside a
+    member, as gb_blowup's trace walk finds them, and its full positions
+    are the support of a binary standard monomial of the subfamily
+    through J; those avoid J, where every point is 1.  At q = 2 no value
+    fills a nonempty J.  The binary subproblems are solved by the
+    evaluation algorithm, not assumed in closed form.
     """
     _require_family(family, q)
-    # interior set J -> supports of the binary standard monomials through J;
-    # every point through J is 1 at each j in J, so these avoid J
-    normal: dict[frozenset[int], set[frozenset[int]]] = {}
-
-    def qualifies(u: Point) -> bool:
-        parts = level_partition(u, q)
-        js = parts.interior
-        if js not in normal:
-            sub = subfamily_through(family, js)
-            sm = _binary_basis(sub.to_point_set(), order)[1] if len(sub) else ()
-            normal[js] = {support(m.exponents) for m in sm}
-        return parts.top in normal[js]
-
-    monos = down_set(family.n, qualifies, top=q - 1, key=order._key)
-    return StandardMonomialSet(order, tuple(map(Monomial, monos)))
+    monos = []
+    for js in _trace_sets(family.n, 2, family.to_point_set().points, _inside, None if q > 2 else 0):
+        for m in _binary_basis(subfamily_through(family, js).to_point_set(), order)[1]:
+            u = [(q - 1) * e for e in m.exponents]
+            for filling in product(range(1, q - 1), repeat=len(js)):
+                for j, e in zip(js, filling):
+                    u[j - 1] = e
+                monos.append(tuple(u))
+    return StandardMonomialSet(order, tuple(map(Monomial, sorted(monos, key=order._key))))
 
 
 def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) -> list[Polynomial]:
@@ -171,8 +171,7 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
     outside: list[tuple[int, ...]] = []
 
     def inside(cs: tuple[int, ...], codes: list[int]) -> bool:
-        # cs lies inside a member iff that member's pattern on cs is all ones
-        if (1 << len(cs)) - 1 in codes:
+        if _inside(cs, codes):
             return True
         outside.append(cs)
         return False
@@ -347,7 +346,7 @@ def uniform_leading_certificate(
     against the alphabet polynomials has leading monomial
     x_{h_1}^{q-1} ... x_{h_{t-1}}^{q-1} x_{h_t}.
     """
-    hs = sorted(set(int(h) for h in violator))
+    hs = sorted(_integral(violator, frozenset))
     t = len(hs)
     if t == 0:
         raise ValueError("the violator set must be nonempty")

@@ -62,6 +62,7 @@ from .polyring import (
     Monomial,
     Polynomial,
     TermOrder,
+    _integral,
     _root_product,
     leading_monomial,
 )
@@ -394,7 +395,8 @@ def non_shatter_certificate(v: PointSet, coords: Iterable[int], witness: Sequenc
     prod_j x_j^(q-1).
     """
     n, q = v.n, v.q
-    cs = sorted(set(int(c) for c in coords))
+    cs = sorted(_integral(coords, frozenset))
+    witness = _integral(witness, tuple)
     if any(not 1 <= c <= n for c in cs):
         raise ValueError(f"coordinates {cs} out of range 1..{n}")
     if len(witness) != n:

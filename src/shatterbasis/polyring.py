@@ -13,9 +13,21 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _integral(values: Iterable, make: Callable[[Iterable], tuple | frozenset]) -> tuple | frozenset:
+    """``make(values)`` with every value an int, refusing one that int() would change."""
+    given = make(values)
+    try:
+        exact = make(map(int, given))
+    except OverflowError:  # int() of an infinity
+        exact = None
+    if exact != given:
+        raise ValueError(f"coordinates {tuple(given)} are not all integers")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class Monomial:
     @classmethod
     def squarefree(cls, coords: Iterable[int], n: int) -> "Monomial":
         """The product of x_j over the 1-based coordinate set ``coords``."""
-        cs = set(coords)
+        cs = _integral(coords, frozenset)
         if any(not 1 <= c <= n for c in cs):
             raise ValueError(f"coordinates {sorted(cs)} out of range 1..{n}")
         return cls(tuple(int(j + 1 in cs) for j in range(n)))

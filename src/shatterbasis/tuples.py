@@ -14,21 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .polyring import Monomial
+from .polyring import Monomial, _integral
 
 Point = tuple[int, ...]
-
-
-def _integral(values: Iterable, make: Callable[[Iterable], tuple | frozenset]) -> tuple | frozenset:
-    """``make(values)`` with every value an int, refusing one that int() would change."""
-    given = make(values)
-    try:
-        exact = make(map(int, given))
-    except OverflowError:  # int() of an infinity
-        exact = None
-    if exact != given:
-        raise ValueError(f"coordinates {tuple(given)} are not all integers")
-    return exact
 
 
 class EmptyPointSetError(ValueError):
@@ -84,7 +72,7 @@ class PointSet:
 
     def restrictions(self, coords: Iterable[int]) -> set[Point]:
         """The set of restrictions of the points to the 1-based coordinates."""
-        cs = sorted(set(coords))
+        cs = sorted(_integral(coords, frozenset))
         if any(not 1 <= c <= self.n for c in cs):
             raise ValueError(f"coordinates {cs} out of range 1..{self.n}")
         return {tuple(p[c - 1] for c in cs) for p in self.points}
@@ -189,14 +177,12 @@ def shatters(v: PointSet, coords: Iterable[int]) -> bool:
     return len(v.restrictions(coords)) == v.q ** len(set(coords))
 
 
-def down_set(
-    n: int, keep: Callable[[Point], bool], key: Callable[[Point], object], top: int | None = None
-) -> Iterator[Point]:
-    """The members of a down-set of N^n, given its membership test keep,
-    with entries at most top when top is given; not exported.  key must
-    grow along every edge u -> u + e_i, as a term order's does.  Each member
-    is made once, from its canonical parent (one below it in its last
-    nonzero entry), and a heap makes keep see its arguments, and the
+def down_set(n: int, keep: Callable[[Point], bool], key: Callable[[Point], object]) -> Iterator[Point]:
+    """The members of a down-set of N^n, given its membership test keep
+    (which caps the entries, if a cap is wanted); not exported.  key must
+    grow along every edge u -> u + e_i, as a term order's does.  Each
+    member is made once, from its canonical parent (one below it in its
+    last nonzero entry), and a heap makes keep see its arguments, and the
     members come out, in increasing key order.  The walk is closed: each
     parent u - e_i has a smaller key and is decided first, so a candidate
     with a non-member parent is rejected unseen.
@@ -211,9 +197,8 @@ def down_set(
             members.add(u)
             yield u
             for i in range(last, n):
-                if top is None or u[i] < top:
-                    child = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                    heapq.heappush(pending, (key(child), child, i))
+                child = u[:i] + (u[i] + 1,) + u[i + 1 :]
+                heapq.heappush(pending, (key(child), child, i))
 
 
 def _trace_sets(
@@ -373,7 +358,7 @@ def blow_up(family: SetFamily, q: int) -> PointSet:
 
 def subfamily_through(family: SetFamily, coords: Iterable[int]) -> SetFamily:
     """Members of the family containing every one of the given coordinates."""
-    cs = frozenset(int(c) for c in coords)
+    cs = _integral(coords, frozenset)
     if any(not 1 <= c <= family.n for c in cs):
         raise ValueError(f"coordinates {sorted(cs)} out of range 1..{family.n}")
     return SetFamily(family.n, (m for m in family if cs <= m))

@@ -118,10 +118,17 @@ class TestConstruct:
         assert code == 0
         assert list(parse_tuples(out)) == [(1, 0), (2, 0)]
 
-    def test_missing_parameter_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "construct", "uniform", "--n", "3", "--q", "2")
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["construct", "uniform", "--n", "3", "--q", "2"], "--d"),
+            (["construct", "blowup", "--q", "3"], "--in"),
+        ],
+    )
+    def test_missing_parameter_is_usage_error(self, capsys, argv, flag):
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "requires --d" in err
+        assert f"requires {flag}\n" in err
 
     @pytest.mark.parametrize(
         "kind, degree", [("km", "--s"), ("uniform", "--d"), ("hamming", "--d")]

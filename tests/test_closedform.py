@@ -1,5 +1,6 @@
 """Closed-form normal sets, counting formulas, bounds and certificates."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -49,6 +50,7 @@ from shatterbasis.tuples import (
     full_exponent_count,
     hamming_sphere,
     km_extremal,
+    level_partition,
     minimal_ballot_violators,
     shattered_family,
     subfamily_through,
@@ -102,6 +104,20 @@ def loop_sm_blowup(family, q, order):
                     for i in support(m.exponents):
                         expo[i - 1] = q - 1
                     monos.append(Monomial(tuple(expo)))
+    return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
+
+
+def filter_sm_blowup(family, q, order, binary_sm):
+    """Reference: the box filter sm_blowup was first defined by.  u is kept
+    iff the subfamily through its interior positions is nonempty and its
+    full positions are the support of a binary standard monomial of that
+    subfamily; binary_sm(point set, order) gives those monomials."""
+    monos = []
+    for u in itertools.product(range(q), repeat=family.n):
+        parts = level_partition(u, q)
+        sub = subfamily_through(family, parts.interior)
+        if len(sub) and parts.top in {support(m.exponents) for m in binary_sm(sub.to_point_set(), order)}:
+            monos.append(Monomial(u))
     return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
 
 
@@ -283,6 +299,20 @@ class TestBlowup:
                         sm_blowup(fam, 3, order).exponent_vectors()
                         == vanishing_basis(grown, order)[1].exponent_vectors()
                     )
+
+    def test_matches_box_filter_on_every_small_family(self):
+        @functools.cache
+        def binary_sm(v, order):
+            return vanishing_basis(v, order)[1]
+
+        for n in (1, 2, 3):
+            subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+            for r in range(1, len(subsets) + 1):
+                for picks in itertools.combinations(subsets, r):
+                    family = SetFamily(n, picks)
+                    for q in (2, 3, 4):
+                        for order in (DEGLEX, LEX):
+                            assert sm_blowup(family, q, order) == filter_sm_blowup(family, q, order, binary_sm)
 
     def test_matches_coordinate_set_loop(self):
         for family, q in seeded_families(240, seed=5):
@@ -609,6 +639,12 @@ class TestUniformLeadingCertificate:
             uniform_leading_certificate(3, 2, 3, [2, 3])  # t > n/2
         with pytest.raises(ValueError):
             uniform_leading_certificate(4, 9, 3, [1])  # d out of range
+
+    def test_non_integral_violator_is_refused(self):
+        for violator in ([1.5], [Fraction(3, 2)], ["1"]):
+            with pytest.raises(ValueError, match="are not all integers"):
+                uniform_leading_certificate(4, 2, 3, violator)
+        assert uniform_leading_certificate(4, 2, 3, [1.0]) == uniform_leading_certificate(4, 2, 3, [1])
 
 
 class TestConsistencyAcrossModules:

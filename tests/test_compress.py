@@ -34,6 +34,11 @@ class TestTraceSize:
         v = PointSet(2, 2, [(0, 0), (1, 1)])
         assert trace_size(v, [1, 2]) == 2
 
+    def test_non_integral_coordinates_are_refused(self):
+        v = PointSet(2, 2, [(0, 0), (1, 1)])
+        with pytest.raises(ValueError, match="are not all integers"):
+            trace_size(v, [1.5])
+
 
 class TestDownwardClosed:
     def test_origin(self):

@@ -642,6 +642,16 @@ class TestNonShatterCertificate:
         with pytest.raises(ValueError):
             non_shatter_certificate(v, [1], (2, 0))
 
+    def test_non_integral_arguments_are_refused(self):
+        v = PointSet(2, 3, [(0, 0)])
+        with pytest.raises(ValueError, match="are not all integers"):
+            non_shatter_certificate(v, [1.5], (1, 0))
+        with pytest.raises(ValueError, match="are not all integers"):
+            non_shatter_certificate(v, [1], (1.5, 0))
+        g = non_shatter_certificate(v, [1.0], (Fraction(1), 0))
+        assert g == non_shatter_certificate(v, [1], (1, 0))
+        assert leading_monomial(g, DEGLEX) == Monomial((2, 0))
+
     @given(point_sets(3, 3, max_size=8), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
     def test_vanishes_with_claimed_lead(self, v, rng):

@@ -73,6 +73,12 @@ class TestMonomial:
         assert Monomial.squarefree([1, 3], 3) == mono(1, 0, 1)
         assert Monomial.variable(2, 3) == mono(0, 1, 0)
 
+    def test_squarefree_refuses_non_integral_coordinates(self):
+        for cs in ([1.5], [1, Fraction(5, 2)], ["1"]):
+            with pytest.raises(ValueError, match="are not all integers"):
+                Monomial.squarefree(cs, 3)
+        assert Monomial.squarefree([1.0, Fraction(3)], 3) == mono(1, 0, 1)
+
     def test_evaluate(self):
         assert mono(2, 1).evaluate((3, 2)) == 18
         assert Monomial.unit(2).evaluate((5, 7)) == 1

@@ -96,6 +96,15 @@ class TestPointSet:
         assert v.restrictions([1, 3]) == {(0, 1), (1, 1), (0, 0)}
         assert v.restrictions([]) == {()}
 
+    def test_non_integral_restriction_coordinates_are_refused(self):
+        v = PointSet(3, 2, [(0, 0, 1), (1, 0, 1), (0, 1, 0)])
+        for cs in ([1.5], [1, Fraction(5, 2)], ["1"]):
+            with pytest.raises(ValueError, match="are not all integers"):
+                v.restrictions(cs)
+            with pytest.raises(ValueError, match="are not all integers"):
+                shatters(v, cs)
+        assert v.restrictions([1.0, Fraction(3)]) == v.restrictions([1, 3])
+
 
 class TestSetFamily:
     def test_members_normalized(self):
@@ -270,6 +279,11 @@ class TestShatteredWalk:
         assert peak < 8 * 2**20
 
 
+def _capped(keep, top):
+    """keep, also rejecting every vector with an entry above top when top is given."""
+    return keep if top is None else lambda u: max(u) <= top and keep(u)
+
+
 class TestDownSet:
     def test_yields_each_member_once(self):
         rng = random.Random(11)
@@ -284,7 +298,7 @@ class TestDownSet:
                 for top in (None, 1, 2):
                     bound = 3 if top is None else top
                     expected = {u for u in itertools.product(range(bound + 1), repeat=n) if keep(u)}
-                    got = list(down_set(n, keep, order._key, top=top))
+                    got = list(down_set(n, _capped(keep, top), order._key))
                     assert len(got) == len(set(got))
                     assert set(got) == expected
 
@@ -303,20 +317,20 @@ class TestDownSet:
 
                     def keep(u):
                         seen.append(u)
-                        return member(u)
+                        return _capped(member, top)(u)
 
                     bound = 3 if top is None else top
                     box = itertools.product(range(bound + 1), repeat=n)
                     expected = sorted(filter(member, box), key=order._key)
-                    assert list(down_set(n, keep, top=top, key=order._key)) == expected
+                    assert list(down_set(n, keep, key=order._key)) == expected
                     keys = [order._key(u) for u in seen]
                     assert keys == sorted(keys)
                     assert len(set(seen)) == len(seen)
 
     def test_keyed_walk_is_closed(self):
-        # keep rejects only the leads themselves; closure rejects their
-        # multiples, each before keep sees it.  The powers x_i^4 keep the
-        # walk without top finite.
+        # keep rejects only the leads themselves and the vectors past top;
+        # closure rejects their multiples, each before keep sees it.  The
+        # powers x_i^4 keep the walk without top finite.
         rng = random.Random(16)
         for _ in range(200):
             n = rng.randint(1, 4)
@@ -328,12 +342,12 @@ class TestDownSet:
 
                     def keep(u):
                         seen.append(u)
-                        return u not in leads
+                        return _capped(lambda u: u not in leads, top)(u)
 
                     bound = 3 if top is None else top
                     box = itertools.product(range(bound + 1), repeat=n)
                     expected = [u for u in box if not any(all(map(operator.le, m, u)) for m in leads)]
-                    walk = down_set(n, keep, top=top, key=order._key)
+                    walk = down_set(n, keep, key=order._key)
                     assert list(itertools.islice(walk, len(expected) + 1)) == sorted(expected, key=order._key)
                     members = set(expected)
                     for u in seen:
@@ -343,7 +357,7 @@ class TestDownSet:
     def test_rejected_zero_vector_yields_nothing(self):
         for order in TermOrder:
             assert list(down_set(3, lambda u: False, order._key)) == []
-            assert list(down_set(3, lambda u: any(u), order._key, top=1)) == []
+            assert list(down_set(3, _capped(lambda u: any(u), 1), order._key)) == []
 
 
 def _brute_sets(n, keep):
@@ -562,6 +576,13 @@ class TestConstructions:
         assert subfamily_through(f, [1]) == f
         assert subfamily_through(f, []) == f
         assert len(subfamily_through(SetFamily(2, [{1}]), [2])) == 0
+
+    def test_subfamily_through_refuses_non_integral_coordinates(self):
+        f = SetFamily(2, [{1}, {1, 2}])
+        for cs in ([1.5], [1, Fraction(5, 2)], ["1"]):
+            with pytest.raises(ValueError, match="are not all integers"):
+                subfamily_through(f, cs)
+        assert subfamily_through(f, [2.0]) == SetFamily(2, [{1, 2}])
 
     def test_km_extremal(self):
         assert len(km_extremal(2, 0, 3)) == 4
