@@ -154,20 +154,21 @@ def sm_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
 
 
 def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) -> list[Polynomial]:
-    """A (generally non-reduced) Groebner basis for the blow-up's ideal.
+    """A minimal Groebner basis for the blow-up's ideal: the minimal
+    sub-basis of the paper's union, in the union's order.
 
-    The coordinate sets J inside some member form a down-set.  The basis
+    The coordinate sets J inside some member form a down-set.  The union
     joins the n alphabet polynomials, x_J times the lifted generators of
     the binary ideal of the subfamily through J for every J of that
     down-set, and the bare monomial x_J for every J one element above it
     that the depth-first trace walk of the down-set tests (J inside a
     member iff that member's characteristic vector is all ones on J).
-    Those include every minimal J with an empty subfamily, and x_J for any
-    larger such J is a multiple of one of them.
+    Each lead is known before its generator is built (q*e_i, 1_J +
+    (q-1)*lm(g) and 1_J), and only the first generator of each minimal
+    lead is built: a new lead whose every lead - e_i is standard.
     """
     _require_family(family, q)
     n = family.n
-    out = [field_polynomial(i, q, n) for i in range(1, n + 1)]
     outside: list[tuple[int, ...]] = []
 
     def inside(cs: tuple[int, ...], codes: list[int]) -> bool:
@@ -176,19 +177,38 @@ def gb_blowup(family: SetFamily, q: int, order: TermOrder = TermOrder.DEGLEX) ->
         outside.append(cs)
         return False
 
-    lifted: dict[Polynomial, Polynomial] = {}
-    for cs in _trace_sets(n, 2, family.to_point_set().points, inside):
-        gb, _ = _binary_basis(subfamily_through(family, cs).to_point_set(), order)
+    walked = [
+        (cs, _binary_basis(subfamily_through(family, cs).to_point_set(), order))
+        for cs in _trace_sets(n, 2, family.to_point_set().points, inside)
+    ]
+    normal = {cs: sm.exponent_vectors() for cs, (_, sm) in walked}
+    seen: set[Point] = set()
+
+    def minimal(lead: Point) -> bool:
+        if lead in seen:
+            return False
+        seen.add(lead)
+        for i, e in enumerate(lead):
+            if e:  # w = lead - e_i is standard by sm_blowup's rule
+                w = lead[:i] + (e - 1,) + lead[i + 1 :]
+                sm = normal.get(tuple(j for j, f in enumerate(w, 1) if 0 < f < q - 1))
+                if sm is None or tuple(int(f == q - 1) for f in w) not in sm:
+                    return False
+        return True
+
+    leads = (Monomial.variable(i, n).power(q).exponents for i in range(1, n + 1))
+    out = [field_polynomial(i, q, n) for i, lead in enumerate(leads, 1) if minimal(lead)]
+    for cs, (gb, _) in walked:
         u = Monomial.squarefree(cs, n).exponents
-        for g in gb:
-            bar = lifted.get(g)
-            if bar is None:
-                bar = lifted[g] = binary_lift(g, q)
-            # x_J * bar: shift every exponent tuple by u
-            shifted = {Monomial(tuple(map(operator.add, m.exponents, u))): c for m, c in bar.items()}
-            out.append(Polynomial(n, shifted))
-    out += [Polynomial.from_monomial(Monomial.squarefree(cs, n)) for cs in outside]
-    return out
+        for g, lm in zip(gb, gb.leading_monomials()):
+            lead = tuple(a + (q - 1) * b for a, b in zip(u, lm.exponents))
+            if max(lead) < q and minimal(lead):  # a larger exponent is a multiple of x_i^q
+                # x_J * lift(g): shift every exponent tuple by u
+                bar = binary_lift(g, q)
+                shifted = {Monomial(tuple(map(operator.add, m.exponents, u))): c for m, c in bar.items()}
+                out.append(Polynomial(n, shifted))
+    bare = (Monomial.squarefree(cs, n) for cs in outside)
+    return out + [Polynomial.from_monomial(m) for m in bare if minimal(m.exponents)]
 
 
 def count_ballot(n: int, q: int, i: int) -> int:

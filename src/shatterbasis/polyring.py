@@ -8,6 +8,7 @@ in lowest terms; nothing in this module ever rounds.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import re
 from dataclasses import dataclass
@@ -28,6 +29,23 @@ def _integral(values: Iterable, make: Callable[[Iterable], tuple | frozenset]) -
     if exact != given:
         raise ValueError(f"coordinates {tuple(given)} are not all integers")
     return exact
+
+
+def _int_text(k: int) -> str:
+    """str(k), exact also past the interpreter's limit on the digits of an
+    int-to-text conversion (sys.get_int_max_str_digits), left as it is."""
+    try:
+        return str(k)
+    except ValueError:
+        return str(decimal.Decimal(k))
+
+
+def _text_int(digits: str) -> int:
+    """int(digits) of a run of decimal digits, exact also past that limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(decimal.Decimal(digits))
 
 
 @dataclass(frozen=True)
@@ -54,6 +72,7 @@ class Monomial:
     @classmethod
     def variable(cls, i: int, n: int) -> "Monomial":
         """The monomial x_i (1-based index) in dimension n."""
+        (i,) = _integral((i,), tuple)
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         return cls(tuple(int(j == i - 1) for j in range(n)))
@@ -397,10 +416,10 @@ def render_polynomial(f: Polynomial, order: TermOrder = TermOrder.DEGLEX) -> str
     for m in sorted(f.monomials(), key=order.key, reverse=True):
         c = f.coefficient(m)
         mono = render_monomial(m)
-        mag = abs(c)
+        mag = _int_text(abs(c.numerator)) + ("" if c.denominator == 1 else f"/{_int_text(c.denominator)}")
         if mono == "1":
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
@@ -441,9 +460,10 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
         coeff, expo = Fraction(-1 if term[1] == "-" else 1), [0] * n
         for num, den, var, exp in _FACTOR.findall(term[2]):
             if num:
-                if den and not int(den):
+                divisor = _text_int(den or "1")
+                if not divisor:
                     raise ValueError(f"bad denominator {den!r}")
-                coeff *= Fraction(int(num), int(den or 1))
+                coeff *= Fraction(_text_int(num), divisor)
             elif 1 <= int(var) <= n:
                 expo[int(var) - 1] += int(exp or 1)
             else:

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
@@ -38,12 +39,16 @@ from shatterbasis.polyring import (
     Monomial,
     Polynomial,
     TermOrder,
+    binary_lift,
+    field_polynomial,
     leading_coefficient,
     leading_monomial,
+    render_polynomial,
 )
 from shatterbasis.tuples import (
     PointSet,
     SetFamily,
+    _trace_sets,
     ballot_member,
     blow_up,
     complete_uniform,
@@ -119,6 +124,62 @@ def filter_sm_blowup(family, q, order, binary_sm):
         if len(sub) and parts.top in {support(m.exponents) for m in binary_sm(sub.to_point_set(), order)}:
             monos.append(Monomial(u))
     return StandardMonomialSet(order, tuple(sorted(monos, key=order.key)))
+
+
+def union_gb_blowup(family, q, order):
+    """Reference: the paper's whole union, as gb_blowup built it before it
+    kept only minimal leads: the n alphabet polynomials, x_J times the
+    lifted binary generators for every walked J, then the bare x_J for
+    every tested J in no member."""
+    n = family.n
+    out = [field_polynomial(i, q, n) for i in range(1, n + 1)]
+    outside = []
+
+    def inside(cs, codes):
+        if closedform._inside(cs, codes):
+            return True
+        outside.append(cs)
+        return False
+
+    lifted = {}
+    for cs in _trace_sets(n, 2, family.to_point_set().points, inside):
+        gb, _ = closedform._binary_basis(subfamily_through(family, cs).to_point_set(), order)
+        u = Monomial.squarefree(cs, n).exponents
+        for g in gb:
+            bar = lifted.get(g)
+            if bar is None:
+                bar = lifted[g] = binary_lift(g, q)
+            shifted = {Monomial(tuple(map(operator.add, m.exponents, u))): c for m, c in bar.items()}
+            out.append(Polynomial(n, shifted))
+    out += [Polynomial.from_monomial(Monomial.squarefree(cs, n)) for cs in outside]
+    return out
+
+
+def first_of_minimal_leads(gens, order):
+    """The first generator of each lead that no other lead divides, in
+    list order: pairwise divisibility over the distinct leads."""
+    leads = [leading_monomial(g, order).exponents for g in gens]
+    distinct = set(leads)
+    minimal = {a for a in distinct if not any(b != a and all(map(operator.le, b, a)) for b in distinct)}
+    out = []
+    for g, lead in zip(gens, leads):
+        if lead in minimal:
+            out.append(g)
+            minimal.remove(lead)
+    return out
+
+
+def border_leads(sm):
+    """The minimal monomials outside a normal set: each e_i past a member
+    of it whose every one-smaller divisor lies in it."""
+    inside = sm.exponent_vectors()
+    border = set()
+    for u in inside:
+        for i in range(len(u)):
+            w = u[:i] + (u[i] + 1,) + u[i + 1 :]
+            if w not in inside and all(w[:j] + (e - 1,) + w[j + 1 :] in inside for j, e in enumerate(w) if e):
+                border.add(w)
+    return border
 
 
 def seeded_families(count, seed):
@@ -277,10 +338,16 @@ class TestBlowup:
             gb_blowup(SetFamily(2, []), 3)
 
     def test_gb_contains_alphabet_polynomials(self):
-        fam = SetFamily(2, [{1}])
-        gens = gb_blowup(fam, 3)
-        lead_exponents = {leading_monomial(g, DEGLEX).exponents for g in gens}
-        assert (3, 0) in lead_exponents and (0, 3) in lead_exponents
+        # x1^2 of the lift of x1 - 1 divides x1^3, and x2 divides x2^3
+        gens = gb_blowup(SetFamily(2, [{1}]), 3)
+        assert [render_polynomial(g) for g in gens] == ["-1/2*x1^2 + 3/2*x1 - 1", "x2"]
+        # every 0/1 point is in the binary system, so only x_i^3 bounds x_i
+        every = SetFamily(2, [set(), {1}, {2}, {1, 2}])
+        for order in (DEGLEX, LEX):
+            gens = gb_blowup(every, 3, order)
+            assert gens[:2] == [field_polynomial(1, 3, 2), field_polynomial(2, 3, 2)]
+            lead_exponents = {leading_monomial(g, order).exponents for g in gens}
+            assert (3, 0) in lead_exponents and (0, 3) in lead_exponents
 
     def test_gb_empty_subfamily_contributes_bare_product(self):
         fam = SetFamily(2, [{1}])
@@ -340,7 +407,8 @@ class TestBlowup:
 
     def test_gb_bare_generators_are_the_tested_sets_in_no_member(self):
         # the trace walk tests each set once, as a set inside a member plus
-        # one coordinate past its last; those in no member become x_J
+        # one coordinate past its last; those in no member whose every
+        # one-smaller subset lies inside a member become x_J
         for family, q in seeded_families(240, seed=7):
             if q == 2:
                 continue  # lifted binary generators can be bare monomials too
@@ -352,8 +420,11 @@ class TestBlowup:
                 for u in inside
                 for i in range(max((k + 1 for k, e in enumerate(u) if e), default=0), n)
             }
+            minimal = {
+                u for u in tested - inside if all(u[:i] + (0,) + u[i + 1 :] in inside for i in range(n) if u[i])
+            }
             bare = [g.monomials()[0].exponents for g in gb_blowup(family, q) if len(g.monomials()) == 1]
-            assert sorted(bare) == sorted(tested - inside)
+            assert sorted(bare) == sorted(minimal)
 
     def test_gb_certifies_seeded_families(self):
         for family, q in seeded_families(240, seed=5):
@@ -363,10 +434,63 @@ class TestBlowup:
             for order in (DEGLEX, LEX):
                 assert certify_groebner(grown, gb_blowup(family, q, order), order)
 
+    def test_gb_is_the_minimal_sub_basis_on_every_small_family(self):
+        cases = 0
+        for n in (1, 2, 3):
+            subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+            for r in range(1, len(subsets) + 1):
+                for picks in itertools.combinations(subsets, r):
+                    family = SetFamily(n, picks)
+                    for q in (2, 3, 4):
+                        for order in (DEGLEX, LEX):
+                            gens = gb_blowup(family, q, order)
+                            assert gens == first_of_minimal_leads(union_gb_blowup(family, q, order), order)
+                            reduced, _ = vanishing_basis(blow_up(family, q), order)
+                            assert sorted(leading_monomial(g, order).exponents for g in gens) == sorted(
+                                m.exponents for m in reduced.leading_monomials()
+                            )
+                            cases += 1
+        assert cases == 1638
+
+    def test_gb_is_the_minimal_sub_basis_on_seeded_families(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(4, 6)
+            subsets = [c for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+            family = SetFamily(n, rng.sample(subsets, rng.randint(1, 10)))
+            for q in (2, 3, 4):
+                for order in (DEGLEX, LEX):
+                    gens = gb_blowup(family, q, order)
+                    assert gens == first_of_minimal_leads(union_gb_blowup(family, q, order), order)
+                    leads = [leading_monomial(g, order).exponents for g in gens]
+                    assert len(set(leads)) == len(leads)
+                    assert set(leads) == border_leads(sm_blowup(family, q, order))
+
     def test_gb_single_member_in_high_dimension(self):
-        # 20 alphabet polynomials, 20 + 20 products for J = {} and {1},
-        # bare x_j and x_1 x_j for j = 2..20
-        assert len(gb_blowup(SetFamily(20, [{1}]), 3)) == 98
+        # the lift of x1 - 1 for J = {}, then bare x_j in the walk's test
+        # order, j = 20 down to 2; the union's 78 others have leads these divide
+        gens = gb_blowup(SetFamily(20, [{1}]), 3)
+        assert len(gens) == 20
+        assert [leading_monomial(g, DEGLEX) for g in gens] == [
+            Monomial.variable(1, 20).power(2),
+            *(Monomial.variable(j, 20) for j in range(20, 1, -1)),
+        ]
+
+    def test_gb_lifts_only_the_kept_generators(self, monkeypatch):
+        lifts = []
+        lift = closedform.binary_lift
+        monkeypatch.setattr(closedform, "binary_lift", lambda g, q: lifts.append(g) or lift(g, q))
+        seen = 0
+        for family, q in seeded_families(120, seed=9):
+            if q == 2:
+                continue  # lifted binary generators can be bare monomials too
+            lifts.clear()
+            gens = gb_blowup(family, q)
+            alphabet = {field_polynomial(i, q, family.n) for i in range(1, family.n + 1)}
+            built = [g for g in gens if g not in alphabet and len(g.monomials()) > 1]
+            assert len(lifts) == len(built)
+            seen += len(built)
+        assert seen
 
     def test_single_member_in_high_dimension_is_output_sensitive(self):
         code = (
@@ -380,7 +504,7 @@ class TestBlowup:
             "print(len(sm_blowup(family, 3, order)), len(gens))\n"
             "print(certify_groebner(blow_up(family, 3), gens, order))\n"
         )
-        assert run_python(code) == ["2", "118", "True"]
+        assert run_python(code) == ["2", "24", "True"]
 
     def test_binary_cache_is_bounded(self, monkeypatch):
         calls = []
@@ -676,9 +800,10 @@ def render_poly(g, order):
     return [[list(m.exponents), str(c)] for m, c in terms]
 
 
-def ordered_outputs(order):
+def ordered_outputs(order, blowup_basis=gb_blowup):
     """The outputs of the engine and of the closed forms on seeded inputs,
-    every list in the order it is returned in."""
+    every list in the order it is returned in; blowup_basis builds the
+    blow-up bases."""
     rng = random.Random(8)
     out = []
     for _ in range(12):
@@ -698,16 +823,25 @@ def ordered_outputs(order):
         out.append([list(m.exponents) for m in sm_hamming_sphere(n, d, q, order)])
     for family, q in seeded_families(8, 12):
         out.append([list(m.exponents) for m in sm_blowup(family, q, order)])
-        out.append([render_poly(g, order) for g in gb_blowup(family, q, order)])
+        out.append([render_poly(g, order) for g in blowup_basis(family, q, order)])
     return out
+
+
+def ordered_digest(blowup_basis):
+    payload = json.dumps([ordered_outputs(order, blowup_basis) for order in (DEGLEX, LEX)])
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestOrderedOutputs:
     def test_outputs_and_their_order_are_pinned(self):
+        # re-pinned when gb_blowup came to keep only the first generator of
+        # each minimal lead; every list, its order included, must stay as it is
+        assert ordered_digest(gb_blowup) == "26bff12907b106e592fe1a361298572d95e0d40a28e1c191b70cd1dadf516901"
+
+    def test_union_reproduces_the_earlier_pin(self):
         # computed before the engine and the closed forms took their walk in
-        # term order from the shared down-set walker; every list, its order
-        # included, must stay as it was
-        payload = json.dumps([ordered_outputs(order) for order in (DEGLEX, LEX)])
-        assert hashlib.sha256(payload.encode()).hexdigest() == (
+        # term order from the shared down-set walker, with the whole union
+        # as the blow-up basis
+        assert ordered_digest(union_gb_blowup) == (
             "a0066919341eea6e15e88049b82131b02d9269878a65d0c8d85409a1bbb5bace"
         )

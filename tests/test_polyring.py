@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,18 @@ class TestMonomial:
             with pytest.raises(ValueError, match="are not all integers"):
                 Monomial.squarefree(cs, 3)
         assert Monomial.squarefree([1.0, Fraction(3)], 3) == mono(1, 0, 1)
+
+    def test_variable_refuses_a_non_integral_index(self):
+        # Polynomial.variable and field_polynomial build x_i by Monomial.variable
+        for build in (
+            lambda i: Monomial.variable(i, 2),
+            lambda i: Polynomial.variable(i, 2),
+            lambda i: field_polynomial(i, 3, 2),
+        ):
+            with pytest.raises(ValueError, match="are not all integers"):
+                build(1.5)
+            assert build(1.0) == build(1)
+            assert build(1.0) != build(2)
 
     def test_evaluate(self):
         assert mono(2, 1).evaluate((3, 2)) == 18
@@ -419,6 +432,21 @@ class TestRenderParse:
     def test_round_trip(self, f):
         for order in (DEGLEX, LEX):
             assert parse_polynomial(render_polynomial(f, order), 3) == f
+
+    def test_long_coefficients_round_trip(self):
+        # 5,000 digits in numerator and denominator, past the interpreter's
+        # 4,300-digit limit on int-to-text conversion, which stays as it was
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        num, den = 10**4999 + 7, 3 * 10**4999 + 1
+        num_text, den_text = "1" + "0" * 4998 + "7", "3" + "0" * 4998 + "1"
+        f = poly(2, {(1, 0): Fraction(-num, den), (0, 0): num})
+        for order in (DEGLEX, LEX):
+            text = render_polynomial(f, order)
+            assert text == f"-{num_text}/{den_text}*x1 + {num_text}"
+            assert parse_polynomial(text, 2) == f
+        assert render_polynomial(Polynomial.constant(10**5000, 1)) == "1" + "0" * 5000
+        assert parse_polynomial("1" * 5000, 1) == Polynomial.constant((10**5000 - 1) // 9, 1)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
     def test_malformed_text_raises_value_error(self):
         # a power or fraction cut off at its operator, and a dangling "*"
